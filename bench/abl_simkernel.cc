@@ -4,8 +4,8 @@
  *
  * Every simulated action in the repo funnels through sim::EventQueue,
  * so its per-event cost multiplies every experiment. This bench pits
- * the current kernel (timer-wheel near band + 4-ary min-heap far
- * band, lazy cancellation with compaction, pooled slots, inline
+ * the current kernel (hierarchical timing wheel + 4-ary min-heap
+ * overflow band, O(1) unlink on cancel, pooled slots, inline
  * callbacks, native periodic events) against the original
  * std::map<pair<Tick,seq>, std::function> kernel, which is embedded
  * below as the baseline.
@@ -35,22 +35,40 @@
  *    response arrives) — most scheduled events die as cancels.
  *  - same_tick_burst: same-tick completion cohorts (DMA batches,
  *    poll-loop fan-out) that exercise batched draining.
+ *  - measured_cadence: the schedule-distance histogram of the four
+ *    perfbench workloads, where 51-75% of posts are the VMM's 100 us
+ *    poll and only 0.5-3.5% fall within 4096 ticks: 48 pollers
+ *    at 100 us (16 of them aligned on one tick, deploy_storm's rack
+ *    pattern), 2 at 10 us (the netmed sidecore cadence), 1024 I/O
+ *    chains completing 0.25-64 ms out, each arming an 80 ms AoE
+ *    retransmission timer that the next completion cancels — a
+ *    standing population of ~2.1k pending events. The four mixes
+ *    above all use 1-1000-tick delays.
  *
  * One-shot callbacks capture ~32 bytes (this + lba + count + tick),
  * matching the typical closures across src/ — more than
  * std::function's 16-byte SBO, less than InlineCallback's budget.
  *
- * Runs of the two kernels are interleaved (map, heap, map, ...) and
- * the best of kReps is kept per kernel, so machine-load drift hits
- * both sides alike. Emits machine-readable BENCH_simkernel.json;
- * EXPERIMENTS.md records the baseline numbers.
+ * Every callback folds (now, payload) into a per-run hash; a mix
+ * whose dispatch-sequence hash differs between the two kernels fails
+ * the run, so a speedup can never come from executing something
+ * else. Runs of the two kernels are interleaved (map, heap, map,
+ * ...) and the best of gReps is kept per kernel, so machine-load
+ * drift hits both sides alike. Emits machine-readable
+ * BENCH_simkernel.json; EXPERIMENTS.md records the baseline numbers.
+ *
+ * `--smoke` runs every mix once at a tenth of the size and gates only
+ * on the hash match (timings that short are noise); it runs under the
+ * bench-smoke ctest label.
  */
 
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -151,7 +169,8 @@ class HeapKernel
     sim::EventQueue eq;
 };
 
-constexpr std::uint64_t kEventsPerMix = 1000000;
+/** Events per mix (a tenth under --smoke). */
+std::uint64_t gEventsPerMix = 1000000;
 constexpr unsigned kChains = 32;
 constexpr unsigned kPollers = 32;
 constexpr sim::Tick kPollInterval = 200;
@@ -159,7 +178,16 @@ constexpr sim::Tick kPollInterval = 200;
  *  sized to the typical per-queue peak pending measured on the
  *  fig05/abl_scaleout traces (250-500). */
 constexpr std::uint64_t kStandingPopulation = 256;
-constexpr int kReps = 4;
+int gReps = 4;
+
+/** measured_cadence shape (see the file comment). */
+constexpr unsigned kAlignedPollers = 16;
+constexpr unsigned kPhasedPollers = 32;
+constexpr sim::Tick kVmmPoll = 100 * sim::kUs;
+constexpr unsigned kSidecorePollers = 2;
+constexpr sim::Tick kSidecorePoll = 10 * sim::kUs;
+constexpr unsigned kIoChains = 1024;
+constexpr sim::Tick kAoeTimeout = 80 * sim::kMs;
 
 /** Event-generation patterns shared by the mixes. */
 template <typename Q>
@@ -168,11 +196,22 @@ struct Driver
     Q &q;
     std::uint64_t rngState;
     std::uint64_t remaining = 0;
-    std::uint64_t executedPayloads = 0;
+    /** Hash of the (tick, payload) dispatch sequence. */
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
     typename Q::Id lastTimer{};
     bool timerArmed = false;
+    /** measured_cadence: each I/O chain's armed AoE timer. */
+    std::vector<typename Q::Id> chainTimers;
 
     Driver(Q &q_, std::uint64_t seed) : q(q_), rngState(seed | 1) {}
+
+    /** Fold one dispatch into the sequence hash. */
+    void
+    note(std::uint64_t payload)
+    {
+        hash = (hash ^ q.now()) * 0x100000001b3ULL;
+        hash = (hash ^ payload) * 0x100000001b3ULL;
+    }
 
     /** Inline xorshift64: the harness's per-event overhead is shared
      *  by both kernels and dilutes the measured ratio, so it must be
@@ -198,7 +237,7 @@ struct Driver
         sim::Tick stamp = q.now();
         q.schedule(1 + rnd(1000),
                    [this, lba, count, stamp]() {
-                       executedPayloads += count + (lba & 1);
+                       note(lba + count);
                        (void)stamp;
                        cascade();
                    });
@@ -209,22 +248,30 @@ struct Driver
      *  pre-schedulePeriodic pattern used across src/); the new one
      *  uses a native periodic event. */
     void
-    startPoller(sim::Tick interval)
+    startPoller(unsigned id, sim::Tick interval)
     {
         if constexpr (Q::kNativePeriodic) {
-            q.schedulePeriodic(interval,
-                               [this]() { ++executedPayloads; });
+            q.schedulePeriodic(interval, [this, id]() { note(id); });
         } else {
-            armPoller(interval);
+            armPoller(id, interval);
         }
     }
 
     void
-    armPoller(sim::Tick interval)
+    armPoller(unsigned id, sim::Tick interval)
     {
-        q.schedule(interval, [this, interval]() {
-            ++executedPayloads;
-            armPoller(interval);
+        q.schedule(interval, [this, id, interval]() {
+            note(id);
+            armPoller(id, interval);
+        });
+    }
+
+    /** startPoller after @p phase ticks. */
+    void
+    startPollerAt(sim::Tick phase, unsigned id, sim::Tick interval)
+    {
+        q.schedule(phase, [this, id, interval]() {
+            startPoller(id, interval);
         });
     }
 
@@ -243,13 +290,13 @@ struct Driver
         sim::Lba lba = rnd(1u << 20);
         std::uint32_t count = 8;
         sim::Tick stamp = q.now();
-        lastTimer = q.schedule(80 * sim::kMs, [this]() {
-            ++executedPayloads; // timeout path (rare)
+        lastTimer = q.schedule(kAoeTimeout, [this]() {
+            note(0); // timeout path (rare)
         });
         timerArmed = true;
         q.schedule(1 + rnd(100),
                    [this, lba, count, stamp]() {
-                       executedPayloads += count + (lba & 1);
+                       note(lba + count);
                        (void)stamp;
                        timerChurn();
                    });
@@ -271,12 +318,32 @@ struct Driver
             sim::Tick stamp = q.now();
             bool last = i + 1 == cohort;
             q.schedule(delay, [this, lba, count, stamp, last]() {
-                executedPayloads += count + (lba & 1);
+                note(lba + count);
                 (void)stamp;
                 if (last)
                     burst();
             });
         }
+    }
+
+    /** measured_cadence I/O chain: the previous request's response
+     *  arrived, so cancel its retransmission timer and issue the
+     *  next request, completing 0.25-64 ms out (log-uniform by
+     *  octave). */
+    void
+    ioCompletion(unsigned chain)
+    {
+        q.cancel(chainTimers[chain]);
+        const sim::Tick octave = (250 * sim::kUs) << rnd(8);
+        const sim::Tick delay =
+            octave + rnd(static_cast<std::uint32_t>(octave));
+        chainTimers[chain] = q.schedule(kAoeTimeout, [this, chain]() {
+            note(~std::uint64_t(chain)); // timeout path (never taken)
+        });
+        q.schedule(delay, [this, chain]() {
+            note(chain);
+            ioCompletion(chain);
+        });
     }
 };
 
@@ -284,6 +351,7 @@ struct MixResult
 {
     std::uint64_t events = 0;
     std::uint64_t wallNs = 0;
+    std::uint64_t hash = 0;
 
     double
     eventsPerSec() const
@@ -312,6 +380,7 @@ runMix(Start &&start, sim::Tick horizon)
 
     MixResult r;
     r.events = n;
+    r.hash = d.hash;
     r.wallNs = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count());
@@ -323,10 +392,10 @@ MixResult
 scheduleHeavy()
 {
     // kChains cascades at mean event spacing ~500.5 ticks; horizon
-    // sized so the mix executes ~kEventsPerMix events.
+    // sized so the mix executes ~gEventsPerMix events.
     const double rate = kChains / 500.5;
     const auto horizon =
-        static_cast<sim::Tick>(static_cast<double>(kEventsPerMix) /
+        static_cast<sim::Tick>(static_cast<double>(gEventsPerMix) /
                                rate);
     return runMix<Q>(
         [](Driver<Q> &d) {
@@ -345,14 +414,14 @@ pollerSteady()
     const double rate = 8 / 500.5 +
                         static_cast<double>(kPollers) / kPollInterval;
     const auto horizon =
-        static_cast<sim::Tick>(static_cast<double>(kEventsPerMix) /
+        static_cast<sim::Tick>(static_cast<double>(gEventsPerMix) /
                                rate);
     return runMix<Q>(
         [](Driver<Q> &d) {
             for (unsigned c = 0; c < 8; ++c)
                 d.cascade();
             for (unsigned p = 0; p < kPollers; ++p)
-                d.startPoller(kPollInterval);
+                d.startPoller(p, kPollInterval);
         },
         horizon);
 }
@@ -363,7 +432,7 @@ cancelHeavy()
 {
     return runMix<Q>(
         [](Driver<Q> &d) {
-            d.remaining = kEventsPerMix;
+            d.remaining = gEventsPerMix;
             d.timerChurn();
         },
         sim::kSec / 2);
@@ -375,11 +444,52 @@ sameTickBurst()
 {
     return runMix<Q>(
         [](Driver<Q> &d) {
-            d.remaining = kEventsPerMix;
+            d.remaining = gEventsPerMix;
             for (unsigned c = 0; c < 4; ++c)
                 d.burst();
         },
         sim::kSec / 2);
+}
+
+/** measured_cadence horizon for ~gEventsPerMix executions. */
+sim::Tick
+measuredHorizon()
+{
+    // Mean completion delay of the octave-log-uniform 0.25-64 ms
+    // draw: 1.5 x 250 us x (2^8 - 1) / 8.
+    const double ioDelay =
+        1.5 * static_cast<double>(250 * sim::kUs) * 255.0 / 8.0;
+    const double rate = // events per tick
+        (kAlignedPollers + kPhasedPollers) /
+            static_cast<double>(kVmmPoll) +
+        kSidecorePollers / static_cast<double>(kSidecorePoll) +
+        kIoChains / ioDelay;
+    return static_cast<sim::Tick>(static_cast<double>(gEventsPerMix) /
+                                  rate);
+}
+
+template <typename Q>
+void
+startMeasured(Driver<Q> &d)
+{
+    unsigned id = 0;
+    for (unsigned p = 0; p < kAlignedPollers; ++p)
+        d.startPoller(id++, kVmmPoll);
+    for (unsigned p = 0; p < kPhasedPollers; ++p)
+        d.startPollerAt(1 + d.rnd(kVmmPoll), id++, kVmmPoll);
+    for (unsigned p = 0; p < kSidecorePollers; ++p)
+        d.startPollerAt(1 + d.rnd(kSidecorePoll), id++, kSidecorePoll);
+    d.chainTimers.resize(kIoChains);
+    for (unsigned c = 0; c < kIoChains; ++c)
+        d.ioCompletion(c);
+}
+
+template <typename Q>
+MixResult
+measuredCadence()
+{
+    return runMix<Q>([](Driver<Q> &d) { startMeasured(d); },
+                     measuredHorizon());
 }
 
 struct MixRow
@@ -387,6 +497,9 @@ struct MixRow
     std::string name;
     MixResult map;
     MixResult heap;
+    /** Every rep of both kernels executed the same (tick, payload)
+     *  sequence. */
+    bool sameDispatch = true;
 
     double
     speedup() const
@@ -397,20 +510,22 @@ struct MixRow
     }
 };
 
-/** Interleaved best-of-kReps: load spikes hit both kernels alike. */
+/** Interleaved best-of-gReps: load spikes hit both kernels alike. */
 template <typename MapFn, typename HeapFn>
 MixRow
 measure(const std::string &name, MapFn &&mapFn, HeapFn &&heapFn)
 {
     MixRow row;
     row.name = name;
-    for (int i = 0; i < kReps; ++i) {
+    for (int i = 0; i < gReps; ++i) {
         MixResult m = mapFn();
         if (row.map.wallNs == 0 || m.wallNs < row.map.wallNs)
             row.map = m;
         MixResult h = heapFn();
         if (row.heap.wallNs == 0 || h.wallNs < row.heap.wallNs)
             row.heap = h;
+        row.sameDispatch = row.sameDispatch && m.hash == h.hash &&
+                           m.events == h.events;
     }
     return row;
 }
@@ -418,11 +533,17 @@ measure(const std::string &name, MapFn &&mapFn, HeapFn &&heapFn)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+    if (smoke) {
+        gEventsPerMix /= 10;
+        gReps = 1;
+    }
     bench::figureHeader(
-        "Ablation: simulation-kernel throughput "
-        "(wheel+heap kernel vs std::map kernel)");
+        std::string("Ablation: simulation-kernel throughput "
+                    "(timing-wheel kernel vs std::map kernel") +
+        (smoke ? ", smoke)" : ")"));
 
     std::vector<MixRow> rows;
     rows.push_back(measure("schedule_heavy",
@@ -437,32 +558,40 @@ main()
     rows.push_back(measure("same_tick_burst",
                            [] { return sameTickBurst<MapKernel>(); },
                            [] { return sameTickBurst<HeapKernel>(); }));
+    rows.push_back(
+        measure("measured_cadence",
+                [] { return measuredCadence<MapKernel>(); },
+                [] { return measuredCadence<HeapKernel>(); }));
 
     sim::Table t({"Mix", "Events", "map kernel (Mev/s)",
-                  "new kernel (Mev/s)", "Speedup"});
+                  "new kernel (Mev/s)", "Speedup", "Dispatch hash"});
     for (const auto &r : rows) {
+        std::ostringstream h;
+        h << "0x" << std::hex << r.heap.hash
+          << (r.sameDispatch ? "" : " MISMATCH");
         t.addRow({r.name, std::to_string(r.heap.events),
                   sim::Table::num(r.map.eventsPerSec() / 1e6, 2),
                   sim::Table::num(r.heap.eventsPerSec() / 1e6, 2),
-                  sim::Table::num(r.speedup(), 2) + "x"});
+                  sim::Table::num(r.speedup(), 2) + "x", h.str()});
     }
     t.print(std::cout);
 
-    // Counter snapshot from an instrumented run of the cancel mix.
+    // Counter snapshot from an instrumented run of the measured mix:
+    // how the schedules split between wheel and overflow heap.
     {
         HeapKernel q;
         Driver<HeapKernel> d(q, 777);
-        d.remaining = 200000;
-        d.timerChurn();
-        q.run(sim::kSec / 2);
-        std::cout << "\nKernel counters (cancel_heavy, 200k-event "
-                     "sample):\n";
+        startMeasured(d);
+        const std::uint64_t n = q.run(measuredHorizon() / 5);
+        std::cout << "\nKernel counters (measured_cadence, " << n
+                  << "-event sample):\n";
         bench::printKernelCounters(q.eq, std::cout);
     }
 
     std::ofstream json("BENCH_simkernel.json");
     json << "{\n  \"bench\": \"abl_simkernel\",\n"
-         << "  \"events_per_mix\": " << kEventsPerMix << ",\n"
+         << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+         << "  \"events_per_mix\": " << gEventsPerMix << ",\n"
          << "  \"standing_population\": " << kStandingPopulation
          << ",\n  \"mixes\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -475,7 +604,9 @@ main()
              << ", "
              << "\"heap_events_per_sec\": " << r.heap.eventsPerSec()
              << ", "
-             << "\"speedup\": " << r.speedup() << "}"
+             << "\"speedup\": " << r.speedup() << ", "
+             << "\"same_dispatch\": "
+             << (r.sameDispatch ? "true" : "false") << "}"
              << (i + 1 < rows.size() ? "," : "") << "\n";
     }
     json << "  ]\n}\n";
@@ -483,6 +614,16 @@ main()
     std::cout << "\nwrote BENCH_simkernel.json\n";
 
     bool ok = true;
+    for (const auto &r : rows) {
+        if (!r.sameDispatch) {
+            std::cout << "FAIL: " << r.name
+                      << " dispatch sequence differs from the map "
+                         "kernel's\n";
+            ok = false;
+        }
+    }
+    if (smoke)
+        return ok ? 0 : 1;
     for (const auto &r : rows)
         ok = ok && r.speedup() >= 1.0;
     if (rows[0].speedup() < 3.0) {

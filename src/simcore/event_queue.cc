@@ -87,23 +87,29 @@ EventQueue::cancel(const EventId &id)
     if (s.executing) {
         // A periodic cancelling itself from inside its own callback:
         // the closure is running right now, so dispatch() finishes
-        // the teardown after the invocation returns. No heap entry
+        // the teardown after the invocation returns. No queue entry
         // exists for it at this moment (it was popped to fire).
         return true;
     }
-    // Drop the closure now (it may own resources); the entry stays
-    // behind as a tombstone and is reclaimed when its tick is
-    // drained (wheel: within kWheelSize ticks) or compacted away.
-    s.cb.reset();
-    if (!s.inWheel) {
-        ++deadInHeap;
-        // Amortized-O(1) pressure valve: once tombstones outnumber
-        // live entries, one sweep reclaims them all. Without this,
-        // cancelled far-future timers (the retransmission-timer
-        // pattern) would pile up until their deadlines pass.
-        if (deadInHeap > 64 && deadInHeap * 2 > heap.size())
-            compactHeap();
+    if (s.inWheel) {
+        // O(1) unlink from the doubly-linked bucket list: cancelled
+        // timers (the AoE retransmission pattern, armed ~80 ms out
+        // and almost always cancelled) free their slot at once
+        // instead of waiting for their bucket to cascade.
+        wheelUnlink(s);
+        ++counters_.tombstonesPopped;
+        freeSlot(id.slot);
+        return true;
     }
+    // Heap: drop the closure now (it may own resources); the entry
+    // stays behind as a tombstone and is reclaimed when its tick is
+    // drained or the heap is compacted.
+    s.cb.reset();
+    ++deadInHeap;
+    // Amortized-O(1) pressure valve: once tombstones outnumber live
+    // entries, one sweep reclaims them all.
+    if (deadInHeap > 64 && deadInHeap * 2 > heap.size())
+        compactHeap();
     return true;
 }
 
@@ -113,8 +119,8 @@ EventQueue::allocSlot()
     if (freeHead != kNoSlot) {
         std::uint32_t idx = freeHead;
         Slot &s = slotRef(idx);
-        freeHead = s.nextFree;
-        s.nextFree = kNoSlot;
+        freeHead = s.next;
+        s.next = kNoSlot;
         return idx;
     }
     panicIfNot(slotCount < kNoSlot, "event slot pool exhausted");
@@ -132,88 +138,182 @@ EventQueue::freeSlot(std::uint32_t idx)
     s.period = 0;
     if (++s.gen == 0) // skip 0: it marks inert handles
         s.gen = 1;
-    s.nextFree = freeHead;
+    s.next = freeHead;
     freeHead = idx;
 }
 
 void
 EventQueue::postEntry(Tick when, std::uint32_t slot)
 {
-    // when >= curTick was validated in beginPost, so the unsigned
-    // difference is the true distance from now.
-    if (when - curTick < kWheelSize) {
-        wheelAppend(when, slot);
+    Slot &s = slotRef(slot);
+    s.when = when;
+    const Tick diff = when ^ wheelBase;
+    if (when >= wheelBase && (diff >> kSpanBits) == 0) {
+        const unsigned level = levelOf(when);
+        s.inWheel = true;
+        bucketAppend(level, digit(when, level), slot);
     } else {
-        slotRef(slot).inWheel = false;
+        s.inWheel = false;
+        ++counters_.overflowPosted;
         push(when, slot);
     }
 }
 
 void
-EventQueue::wheelAppend(Tick when, std::uint32_t slot)
+EventQueue::markOccupied(unsigned level, std::size_t d)
 {
-    Slot &s = slotRef(slot);
-    s.inWheel = true;
-    s.nextEvent = kNoSlot;
-    const std::size_t b = when & kWheelMask;
-    if (bucketHead[b] == kNoSlot)
-        bucketHead[b] = slot;
-    else
-        slotRef(bucketTail[b]).nextEvent = slot;
-    bucketTail[b] = slot;
-    wheelOcc[b >> 6] |= std::uint64_t(1) << (b & 63);
+    const std::size_t g = firstBucket(level) + d;
+    wheelOcc[g >> 6] |= std::uint64_t(1) << (g & 63);
+    occSummary[level] |= std::uint64_t(1) << (d >> 6);
 }
 
-bool
-EventQueue::wheelNextTick(Tick &out) const
+void
+EventQueue::markEmpty(unsigned level, std::size_t d)
 {
-    // Circular find-first-set from the cursor: every pending wheel
-    // entry lies in [curTick, curTick + kWheelSize), so the first
-    // occupied bucket in circular order is the earliest tick.
-    const std::size_t cursor = curTick & kWheelMask;
-    std::size_t word = cursor >> 6;
-    std::uint64_t w =
-        wheelOcc[word] & (~std::uint64_t(0) << (cursor & 63));
-    for (std::size_t i = 0; i <= kWheelWords; ++i) {
-        if (w) {
-            const std::size_t b =
-                (word << 6) + static_cast<std::size_t>(
-                                  __builtin_ctzll(w));
-            out = curTick + ((b - cursor) & kWheelMask);
-            return true;
-        }
-        word = (word + 1) & (kWheelWords - 1);
-        w = wheelOcc[word];
-        if (i + 1 == kWheelWords) // wrapped back to the cursor word
-            w &= ~(~std::uint64_t(0) << (cursor & 63));
+    const std::size_t g = firstBucket(level) + d;
+    if ((wheelOcc[g >> 6] &= ~(std::uint64_t(1) << (g & 63))) == 0)
+        occSummary[level] &= ~(std::uint64_t(1) << (d >> 6));
+}
+
+void
+EventQueue::bucketAppend(unsigned level, std::size_t d,
+                         std::uint32_t slot)
+{
+    Slot &s = slotRef(slot);
+    Bucket &b = buckets[firstBucket(level) + d];
+    s.next = kNoSlot;
+    s.prev = b.tail;
+    if (b.head == kNoSlot) {
+        b.head = slot;
+        markOccupied(level, d);
+    } else {
+        slotRef(b.tail).next = slot;
     }
-    return false;
+    b.tail = slot;
 }
 
 std::uint32_t
-EventQueue::wheelPopFront(Tick t)
+EventQueue::popLevel0(std::size_t d)
 {
-    const std::size_t b = t & kWheelMask;
-    const std::uint32_t idx = bucketHead[b];
+    Bucket &b = buckets[d];
+    const std::uint32_t idx = b.head;
     if (idx == kNoSlot)
         return kNoSlot;
-    Slot &s = slotRef(idx);
-    bucketHead[b] = s.nextEvent;
-    if (bucketHead[b] == kNoSlot) {
-        bucketTail[b] = kNoSlot;
-        wheelOcc[b >> 6] &= ~(std::uint64_t(1) << (b & 63));
+    b.head = slotRef(idx).next;
+    if (b.head == kNoSlot) {
+        b.tail = kNoSlot;
+        markEmpty(0, d);
+    } else {
+        slotRef(b.head).prev = kNoSlot;
     }
-    s.nextEvent = kNoSlot;
     return idx;
 }
 
 void
-EventQueue::reclaimWheelTombstone(std::uint32_t slot)
+EventQueue::wheelUnlink(const Slot &s)
 {
-    panicIfNot(slotRef(slot).state == SlotState::Cancelled,
-               "wheel tombstone points at a live slot");
-    ++counters_.tombstonesPopped;
-    freeSlot(slot);
+    // The wheel is always filed against the current base, so the
+    // bucket follows from the tick alone.
+    const unsigned level = levelOf(s.when);
+    const std::size_t d = digit(s.when, level);
+    Bucket &b = buckets[firstBucket(level) + d];
+    if (s.prev == kNoSlot)
+        b.head = s.next;
+    else
+        slotRef(s.prev).next = s.next;
+    if (s.next == kNoSlot)
+        b.tail = s.prev;
+    else
+        slotRef(s.next).prev = s.prev;
+    if (b.head == kNoSlot)
+        markEmpty(level, d);
+}
+
+std::size_t
+EventQueue::firstOccupied(unsigned level, std::size_t from) const
+{
+    if (from >> widthOf(level))
+        return kNoBucket;
+    // Two-level bitmap: the word holding `from`, then the summary's
+    // first non-empty word after it. O(1) at any level width.
+    const std::uint64_t *occ = &wheelOcc[firstBucket(level) >> 6];
+    std::size_t w = from >> 6;
+    std::uint64_t bits = occ[w] & (~std::uint64_t(0) << (from & 63));
+    if (bits == 0) {
+        const std::uint64_t later =
+            occSummary[level] & (~std::uint64_t(1) << w);
+        if (later == 0)
+            return kNoBucket;
+        w = static_cast<std::size_t>(__builtin_ctzll(later));
+        bits = occ[w];
+    }
+    return (w << 6) + static_cast<std::size_t>(__builtin_ctzll(bits));
+}
+
+void
+EventQueue::advanceBase(Tick nb)
+{
+    const Tick diff = nb ^ wheelBase;
+    wheelBase = nb;
+    if ((diff >> kNearBits) == 0)
+        return; // same level-0 block: nothing changes level
+    const unsigned level = levelOfDiff(diff);
+    // Every wheel entry is >= nb, so buckets below `level` are empty
+    // and only the bucket whose block nb entered needs re-filing.
+    // Past the top level the base left its whole 2^kSpanBits block,
+    // which every wheel entry lay in: the wheel is empty.
+    if (level < kLevels)
+        cascade(level, digit(nb, level));
+}
+
+void
+EventQueue::cascade(unsigned level, std::size_t d)
+{
+    Bucket &b = buckets[firstBucket(level) + d];
+    std::uint32_t idx = b.head;
+    b = Bucket{};
+    markEmpty(level, d);
+    // List order is FIFO order, and every destination bucket is
+    // empty for this block (see the file comment), so appending in
+    // list order keeps it.
+    while (idx != kNoSlot) {
+        const Slot &s = slotRef(idx);
+        const std::uint32_t next = s.next;
+        const unsigned to = levelOf(s.when);
+        bucketAppend(to, digit(s.when, to), idx);
+        ++counters_.cascaded;
+        idx = next;
+    }
+}
+
+bool
+EventQueue::wheelNext(Tick bound, Tick &out)
+{
+    for (;;) {
+        // Level-0 entries share the base's block and are >= base.
+        std::size_t d = firstOccupied(0, digit(wheelBase, 0));
+        if (d != kNoBucket) {
+            out = (wheelBase >> kNearBits << kNearBits) | d;
+            return true;
+        }
+        // Above level 0, an entry's digit is strictly greater than
+        // the base's: the first occupied bucket, lowest level first,
+        // holds the earliest entries.
+        unsigned level = 1;
+        for (; level < kLevels; ++level) {
+            d = firstOccupied(level, digit(wheelBase, level) + 1);
+            if (d != kNoBucket)
+                break;
+        }
+        if (level == kLevels)
+            return false;
+        const unsigned up = shiftOf(level + 1);
+        const Tick start =
+            (wheelBase >> up << up) | (Tick(d) << shiftOf(level));
+        if (start > bound)
+            return false;
+        advanceBase(start); // cascades bucket (level, d)
+    }
 }
 
 void
@@ -365,34 +465,42 @@ EventQueue::compactHeap()
     }
 }
 
-void
-EventQueue::extractTick(Tick t, std::vector<HeapEntry> &out)
+bool
+EventQueue::nextTick(Tick limit, Tick &out)
 {
-    std::size_t kept = 0;
-    for (const HeapEntry &e : heap) {
-        if (e.when != t) {
-            heap[kept++] = e;
-            continue;
-        }
-        if (slotRef(e.slot).state == SlotState::Pending)
-            out.push_back(e);
-        else
-            reclaimTombstone(e);
-    }
-    heap.resize(kept);
-    if (kept > 1) {
-        for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;)
-            siftDown(i);
-    }
+    const bool haveHeap = settleTop();
+    // Never cascade past the heap top: the heap cohort must be
+    // dispatched with the base at (or before) its tick.
+    const Tick bound =
+        haveHeap ? std::min(limit, heap.front().when) : limit;
+    Tick tw = 0;
+    const bool haveWheel = wheelNext(bound, tw);
+    Tick t;
+    if (haveHeap && (!haveWheel || heap.front().when <= tw))
+        t = heap.front().when;
+    else if (haveWheel)
+        t = tw;
+    else
+        return false;
+    if (t > limit)
+        return false;
+    // Every wheel entry is >= t here. A heap tick behind the base
+    // (posted after run(limit) stopped short) leaves the base alone.
+    if (t > wheelBase)
+        advanceBase(t);
+    out = t;
+    return true;
 }
 
 void
-EventQueue::dispatch(const HeapEntry &e)
+EventQueue::dispatch(std::uint32_t idx)
 {
     // Slots never move (chunked pool), so the closure runs in place:
     // it may schedule events — growing the pool — without its own
     // storage shifting underneath it.
-    Slot &s = slotRef(e.slot);
+    Slot &s = slotRef(idx);
+    const Tick when = s.when;
+    curTick = when;
     ++counters_.executed;
     const bool traced = obs::armed();
     if (traced) {
@@ -402,7 +510,7 @@ EventQueue::dispatch(const HeapEntry &e)
             obsEpoch_ = t.epoch();
         }
         t.spanBegin(obsTrack_, "kernel",
-                    s.period == 0 ? "event" : "periodic", e.when);
+                    s.period == 0 ? "event" : "periodic", when);
     }
     if (s.period == 0) {
         // One-shot: kill the handle *before* invoking, so cancel()
@@ -414,56 +522,38 @@ EventQueue::dispatch(const HeapEntry &e)
         s.state = SlotState::Free;
         --livePending;
         s.cb.consume();
-        s.nextFree = freeHead;
-        freeHead = e.slot;
+        s.next = freeHead;
+        freeHead = idx;
     } else {
         s.executing = true;
         s.cb();
         s.executing = false;
         if (s.state == SlotState::Pending) {
-            // Still armed: re-post for a drift-free cadence. Short
-            // intervals (the poll-loop case) re-enter the wheel —
-            // a periodic firing then costs two list splices and no
-            // comparisons at all.
-            postEntry(e.when + s.period, e.slot);
+            // Still armed: re-post for a drift-free cadence, one
+            // list append into the wheel (the base is at `when`).
+            postEntry(when + s.period, idx);
         } else {
             // The callback cancelled its own cycle.
-            freeSlot(e.slot);
+            freeSlot(idx);
         }
     }
     // Re-check armed(): a callback may tear the tracer down (the
     // bench harness disarms from its destructor).
     if (traced && obs::armed())
-        obs::tracer().spanEnd(obsTrack_, e.when);
+        obs::tracer().spanEnd(obsTrack_, when);
 }
 
 bool
 EventQueue::step()
 {
-    for (;;) {
-        Tick tw = 0;
-        const bool haveWheel = wheelNextTick(tw);
-        if (settleTop() &&
-            (!haveWheel || heap.front().when <= tw)) {
-            HeapEntry e = popTop();
-            panicIfNot(e.when >= curTick,
-                       "event queue went backwards");
-            curTick = e.when;
-            dispatch(e);
-            return true;
-        }
-        if (!haveWheel)
-            return false;
-        const std::uint32_t u = wheelPopFront(tw);
-        if (slotRef(u).state != SlotState::Pending) {
-            // Tombstone-only stretch of the bucket; keep scanning.
-            reclaimWheelTombstone(u);
-            continue;
-        }
-        curTick = tw;
-        dispatch(HeapEntry{tw, 0, u});
-        return true;
-    }
+    Tick t = 0;
+    if (!nextTick(~Tick(0), t))
+        return false;
+    if (settleTop() && heap.front().when == t)
+        dispatch(popTop().slot); // heap cohort first
+    else
+        dispatch(popLevel0(digit(t, 0)));
+    return true;
 }
 
 std::uint64_t
@@ -472,94 +562,30 @@ EventQueue::run(Tick limit)
     const auto wallStart = std::chrono::steady_clock::now();
     std::uint64_t n = 0;
 
-    // Take the scratch buffer (returned below) so the common case
-    // reuses its capacity while reentrant run() calls stay safe.
-    std::vector<HeapEntry> ready;
-    std::swap(ready, batch);
-
-    for (;;) {
-        Tick tw = 0;
-        const bool haveWheel = wheelNextTick(tw);
-        const bool haveHeap = settleTop();
-        Tick t;
-        if (haveHeap && (!haveWheel || heap.front().when <= tw))
-            t = heap.front().when;
-        else if (haveWheel)
-            t = tw;
-        else
-            break;
-        if (t > limit)
-            break;
-
-        // Far band first: a heap entry for tick t predates every
-        // wheel entry for t (posting it to the heap required
-        // t - now >= kWheelSize, i.e. an earlier now), so the heap
-        // cohort is FIFO-older than the bucket. A callback here can
-        // only add tick-t events via the wheel (distance 0), which
-        // the bucket drain below picks up.
-        if (haveHeap && heap.front().when == t) {
-            HeapEntry e = popTop();
-            curTick = t;
-            if (heap.empty() || heap.front().when != t) {
-                // Singleton cohort — the common case.
-                dispatch(e);
-                ++n;
-            } else {
-                // Drain the same-tick cohort into contiguous
-                // scratch. Small cohorts pop one by one (seq order
-                // falls out of the heap); once a cohort proves
-                // large, one linear sweep + O(n) rebuild is cheaper
-                // than sifting the heap per entry.
-                ready.clear();
-                ready.push_back(e);
-                while (!heap.empty() && heap.front().when == t &&
-                       ready.size() < 4) {
-                    HeapEntry f = popTop();
-                    if (slotRef(f.slot).state !=
-                        SlotState::Pending) {
-                        reclaimTombstone(f);
-                        continue;
-                    }
-                    ready.push_back(f);
-                }
-                if (!heap.empty() && heap.front().when == t) {
-                    extractTick(t, ready);
-                    std::sort(
-                        ready.begin(), ready.end(),
-                        [](const HeapEntry &a, const HeapEntry &b) {
-                            return a.seq < b.seq;
-                        });
-                }
-                for (const HeapEntry &f : ready) {
-                    if (slotRef(f.slot).state !=
-                        SlotState::Pending) {
-                        // Cancelled by an earlier cohort callback.
-                        reclaimTombstone(f);
-                        continue;
-                    }
-                    dispatch(f);
-                    ++n;
-                }
-            }
+    Tick t = 0;
+    while (nextTick(limit, t)) {
+        // Overflow cohort first: a heap entry for tick t predates
+        // every wheel entry for t. Its callbacks add tick-t events
+        // to the wheel (the base is at t), or — behind the base — to
+        // the heap with a larger seq, which this loop picks up.
+        while (settleTop() && heap.front().when == t) {
+            dispatch(popTop().slot);
+            ++n;
         }
 
-        // Near band: tick t's bucket holds exactly tick t's wheel
+        // Wheel: level-0 bucket t holds exactly tick t's wheel
         // events in append (= FIFO) order; callbacks scheduling for
         // the current tick append behind the cursor and run in this
-        // same drain.
-        std::uint32_t u;
-        while ((u = wheelPopFront(t)) != kNoSlot) {
-            if (slotRef(u).state != SlotState::Pending) {
-                reclaimWheelTombstone(u);
-                continue;
-            }
-            curTick = t;
-            dispatch(HeapEntry{t, 0, u});
+        // same drain. The base check stops the drain if a callback
+        // ran the queue reentrantly and moved the wheel on.
+        const std::size_t d = digit(t, 0);
+        std::uint32_t u = kNoSlot;
+        while (wheelBase == t && (u = popLevel0(d)) != kNoSlot) {
+            dispatch(u);
             ++n;
         }
     }
 
-    std::swap(ready, batch);
     counters_.wallNs += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - wallStart)
@@ -573,6 +599,10 @@ EventQueue::runUntil(Tick when)
     std::uint64_t n = run(when);
     if (when > curTick)
         curTick = when;
+    // run(when) left every wheel entry past `when`, so the base can
+    // follow the clock: later schedules then file relative to now.
+    if (when > wheelBase)
+        advanceBase(when);
     return n;
 }
 

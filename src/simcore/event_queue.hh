@@ -7,36 +7,67 @@
  * share one queue so that cross-machine interactions (network packets)
  * are globally ordered.
  *
- * Implementation: a two-band structure keyed by distance from now.
+ * Implementation: a hierarchical timing wheel (Varghese & Lauck)
+ * with a small overflow heap.
  *
- * Near band — a timer wheel (Varghese & Lauck) of kWheelSize
- * one-tick buckets with an occupancy bitmap. An event within
- * kWheelSize ticks of now is appended to the intrusive FIFO list of
- * its tick's bucket in O(1); finding the next event is a bitmap scan
- * (find-first-set over a few words). Because every bucket covers
- * exactly one tick, append order IS (tick, seq) dispatch order: the
- * hot path does no comparisons, no sifting and no sorting at all.
- * Trace counters show the bulk of real events (device completions,
- * poll cadences, preemption timers) land here.
+ * Wheel — kLevels levels of buckets, every bucket an intrusive FIFO
+ * list of slots plus one bit in an occupancy bitmap. Level 0 has
+ * 4096 one-tick buckets (the low 12 bits of the tick); each level
+ * above indexes the next 8 bits with 256 buckets, so a level-l
+ * bucket (l >= 1) spans 2^(12 + 8(l-1)) ticks and the five levels
+ * span 2^44 ticks (4.9 h at 1 ns). The wheel is positioned at a base
+ * tick (<= every entry it holds). An entry for tick T sits at the
+ * level of the highest digit in which T and the base differ, in the
+ * bucket named by T's digit at that level. Scheduling is one XOR,
+ * one count-leading-zeros and a list append — no comparisons
+ * against other entries. When the base enters a level-l bucket's
+ * block (l >= 1), the bucket cascades: its entries are re-appended,
+ * in list order, one or more levels down. Finding the next event is
+ * a find-first-set through a two-level bitmap per level (one summary
+ * bit per bitmap word), cascading the first occupied higher-level
+ * bucket until a level-0 bucket is hit.
  *
- * Far band — an indexed 4-ary min-heap over (tick, seq). Far events
- * pay the O(log n) sift once; by the time their tick comes into
- * view they are popped in order. A heap entry for tick T is always
- * FIFO-older than any wheel entry for T (scheduling it required
- * T - now >= kWheelSize, i.e. an earlier now), so cross-band
- * ordering is "heap first", with no seq exchanged between bands.
+ * FIFO invariant: a level-l bucket's entries for block B were all
+ * posted while the base was outside B, and every entry posted
+ * directly below level l for B was posted after the base entered B —
+ * i.e. after the bucket cascaded. A cascade always lands in buckets
+ * that are empty for that block, so re-appending in list order keeps
+ * each level-0 bucket in scheduling order: append order IS
+ * (tick, seq) order, exactly, with no sequence numbers in the wheel.
+ *
+ * Why this geometry: BMcast's mediators poll rather than trap, so
+ * poll re-arms dominate. A distance histogram of every post over the
+ * four perfbench workloads (seed 1) puts 51-75% of them in the
+ * 65-131 us bin (the VMM's 100 us poll), only 0.5-3.5% within 4096
+ * ticks (the reach of a flat wheel of 4096 one-tick buckets) and
+ * 0.07-0.9% at 4.3 s or more (mostly 8.6-17 s timers, which a
+ * 2^32-tick wheel would overflow). Here the
+ * 100 us poll enters at level 1 and reaches its tick after one O(1)
+ * cascade; short delays (completion chains, bursts) mostly land in
+ * level 0 directly.
+ *
+ * Overflow — an indexed 4-ary min-heap over (tick, seq) holds the
+ * rest: events whose tick lies outside the wheel's 2^44-tick block
+ * (counted in KernelCounters::overflowPosted), and events posted
+ * behind the base, which can only happen after run(limit) stopped
+ * short with the base already moved past the last executed event. A
+ * heap entry for tick T is always FIFO-older than any wheel entry
+ * for T (posting it to the heap required the base to lie in an
+ * earlier 2^44 block, or past T, and the base never moves backwards),
+ * so cross-band ordering is "heap first", with no seq exchanged
+ * between bands.
  *
  * Event records (the closures) live in a chunked slot pool recycled
  * through a free list; the chunks never move, so callbacks execute
  * in place (no per-dispatch closure copies) even when they schedule
- * further events. cancel() is an O(1) mark in either band — the
- * entry stays behind as a tombstone and is skipped (and counted)
- * when its tick is drained; when tombstones outnumber live entries
- * in the heap it is compacted in one O(n) sweep, so cancel-heavy
- * workloads (e.g. retransmission timers that almost always get
- * cancelled) cannot bloat it. Closures are stored in
- * sim::InlineCallback, so the common small captures never touch the
- * heap.
+ * further events. cancel() is O(1) in either band: a wheel entry is
+ * unlinked from its doubly-linked bucket list (the wheel is always
+ * filed against the current base, so the bucket follows from the
+ * tick) and its slot freed at once; a heap entry stays behind as a
+ * tombstone, reclaimed (and counted) when its tick is drained or —
+ * once tombstones outnumber live entries — in one O(n) compaction.
+ * Closures are stored in sim::InlineCallback, so the common small
+ * captures never touch the heap.
  *
  * API contract (relied upon across src/ and asserted by the property
  * test against a reference model):
@@ -206,14 +237,14 @@ class EventQueue
 
   private:
     /**
-     * Heap element: 16-byte POD ordered by (when, seq); the closure
-     * lives in the slot pool. seq is 32-bit to keep the entry at two
-     * words (a 4-child sibling group spans one cache line); the
-     * queue renumbers live seqs in one O(n log n) sweep before the
-     * counter can wrap, so FIFO order is exact at any event count.
-     * No generation stamp is needed here: a slot is freed only when
-     * its (single) heap entry is reclaimed, so an entry's slot can
-     * never have been recycled while the entry is still in the heap.
+     * Overflow-heap element: 16-byte POD ordered by (when, seq); the
+     * closure lives in the slot pool. seq is 32-bit to keep the entry
+     * at two words (a 4-child sibling group spans one cache line);
+     * the queue renumbers live seqs in one O(n log n) sweep before
+     * the counter can wrap, so FIFO order is exact at any event
+     * count. No generation stamp is needed here: a slot is freed
+     * only when its (single) entry is reclaimed, so an entry's slot
+     * can never have been recycled while the entry is still queued.
      */
     struct HeapEntry
     {
@@ -228,31 +259,67 @@ class EventQueue
     struct Slot
     {
         Callback cb;
+        Tick when = 0;   //!< tick the pending entry is queued for
         Tick period = 0; //!< 0 = one-shot
         std::uint32_t gen = 1;
-        std::uint32_t nextFree = kNoSlot;
-        /** Intrusive link in the wheel bucket's FIFO list. */
-        std::uint32_t nextEvent = kNoSlot;
+        /** Free-list link while Free; bucket-list link while queued
+         *  in the wheel (a slot is never on both lists). */
+        std::uint32_t next = kNoSlot;
+        /** Bucket-list back link, for O(1) unlink on cancel(). */
+        std::uint32_t prev = kNoSlot;
         SlotState state = SlotState::Free;
         /** A periodic callback is running right now: cancel() must
          *  not destroy the closure under its own feet (dispatch
          *  finishes the teardown). */
         bool executing = false;
-        /** Pending in a wheel bucket (vs the overflow heap); steers
-         *  cancel()'s tombstone accounting. */
+        /** Queued in the wheel (vs the overflow heap); steers
+         *  cancel() between unlink and tombstone. */
         bool inWheel = false;
+    };
+
+    /** Intrusive doubly-linked FIFO list of slots. */
+    struct Bucket
+    {
+        std::uint32_t head = kNoSlot;
+        std::uint32_t tail = kNoSlot;
     };
 
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t(0);
 
-    /** Wheel geometry: one-tick buckets, so a bucket's list is a
-     *  single tick's FIFO cohort. 4096 buckets cover every delay
-     *  shorter than kWheelSize ticks. */
-    static constexpr std::size_t kWheelBits = 12;
-    static constexpr std::size_t kWheelSize = std::size_t(1)
-                                              << kWheelBits;
-    static constexpr std::size_t kWheelMask = kWheelSize - 1;
-    static constexpr std::size_t kWheelWords = kWheelSize / 64;
+    /** Wheel geometry: level 0 indexes the low kNearBits bits of the
+     *  tick (one-tick buckets), each level above the next kLevelBits
+     *  bits, so the wheel spans 2^kSpanBits ticks. */
+    static constexpr unsigned kNearBits = 12;
+    static constexpr unsigned kLevelBits = 8;
+    static constexpr unsigned kLevels = 5;
+    static constexpr unsigned kSpanBits =
+        kNearBits + kLevelBits * (kLevels - 1);
+    static constexpr std::size_t kNoBucket = ~std::size_t(0);
+
+    /** Lowest tick bit of level @p level's digit (level kLevels: the
+     *  span). */
+    static constexpr unsigned
+    shiftOf(unsigned level)
+    {
+        return level == 0 ? 0 : kNearBits + kLevelBits * (level - 1);
+    }
+
+    /** Digit width (bits) of level @p level. */
+    static constexpr unsigned
+    widthOf(unsigned level)
+    {
+        return level == 0 ? kNearBits : kLevelBits;
+    }
+
+    /** Index of level @p level's first bucket in the flat tables
+     *  (level kLevels: the total). */
+    static constexpr std::size_t
+    firstBucket(unsigned level)
+    {
+        return level == 0 ? 0
+                          : (std::size_t(1) << kNearBits) +
+                                (std::size_t(level - 1) << kLevelBits);
+    }
 
     /** Slots live in fixed chunks so growing the pool never moves a
      *  live Slot — the address a callback executes at stays stable
@@ -274,30 +341,75 @@ class EventQueue
                ((a.when == b.when) & (a.seq < b.seq));
     }
 
+    /** Level of the highest digit set in @p diff (a tick XOR the
+     *  base); the `| 1` maps "same tick" to level 0. */
+    static unsigned
+    levelOfDiff(Tick diff)
+    {
+        const auto h =
+            static_cast<unsigned>(63 - __builtin_clzll(diff | 1));
+        return h < kNearBits ? 0 : (h - kNearBits) / kLevelBits + 1;
+    }
+
+    /** Wheel level of tick @p when (>= base, in the base's block):
+     *  its highest digit that differs from the base's. */
+    unsigned
+    levelOf(Tick when) const
+    {
+        return levelOfDiff(when ^ wheelBase);
+    }
+
+    /** Digit of @p t that indexes level @p level. */
+    static std::size_t
+    digit(Tick t, unsigned level)
+    {
+        return static_cast<std::size_t>(t >> shiftOf(level)) &
+               ((std::size_t(1) << widthOf(level)) - 1);
+    }
+
     Slot &
     slotRef(std::uint32_t idx)
     {
         return chunks[idx >> kChunkShift][idx & kChunkMask];
     }
 
-    /** Route a pending slot to the wheel (near) or heap (far). */
+    /** Queue a pending slot for @p when: the wheel if @p when lies in
+     *  the base's 2^kSpanBits block at or after the base, else the
+     *  overflow heap. */
     void postEntry(Tick when, std::uint32_t slot);
-    /** Append to @p when's bucket list (when - now < kWheelSize). */
-    void wheelAppend(Tick when, std::uint32_t slot);
-    /** Tick of the earliest occupied bucket, if any (bitmap scan). */
-    bool wheelNextTick(Tick &out) const;
-    /** Unlink and return the head of @p t's bucket (kNoSlot if
+    /** Append to the tail of bucket (@p level, @p d). */
+    void bucketAppend(unsigned level, std::size_t d,
+                      std::uint32_t slot);
+    /** Unlink and return the head of level-0 bucket @p d (kNoSlot if
      *  empty), maintaining tail pointer and occupancy bit. */
-    std::uint32_t wheelPopFront(Tick t);
-    /** Reclaim a cancelled entry drained from a wheel bucket. */
-    void reclaimWheelTombstone(std::uint32_t slot);
+    std::uint32_t popLevel0(std::size_t d);
+    /** Unlink a pending slot from whichever bucket holds it. */
+    void wheelUnlink(const Slot &s);
+    /** Set / clear bucket (@p level, @p d)'s occupancy bits. */
+    void markOccupied(unsigned level, std::size_t d);
+    void markEmpty(unsigned level, std::size_t d);
+    /** First occupied bucket of @p level at digit >= @p from, or
+     *  kNoBucket if none. */
+    std::size_t firstOccupied(unsigned level, std::size_t from) const;
+    /** Move the base forward to @p nb (<= every wheel entry),
+     *  cascading the one bucket whose block the base enters. */
+    void advanceBase(Tick nb);
+    /** Re-append bucket (@p level, @p d)'s entries below
+     *  @p level. */
+    void cascade(unsigned level, std::size_t d);
+    /**
+     * Earliest tick holding a wheel entry, cascading higher levels as
+     * needed — but never moving the base past @p bound. False if the
+     * wheel is empty or its next entry lies beyond @p bound.
+     */
+    bool wheelNext(Tick bound, Tick &out);
 
     EventId post(Tick when, Tick period, Callback cb);
     /** Validate @p when and allocate a slot primed with @p period. */
     std::uint32_t beginPost(Tick when, Tick period);
     /** beginPost for a periodic event (validates the interval). */
     std::uint32_t beginPeriodicPost(Tick interval);
-    /** Push the heap entry and update counters; returns the handle. */
+    /** Queue the slot and update counters; returns the handle. */
     EventId finishPost(Tick when, std::uint32_t idx);
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t idx);
@@ -314,24 +426,29 @@ class EventQueue
     void reclaimTombstone(const HeapEntry &dead);
     /** One O(n) sweep dropping every tombstone, then re-heapify. */
     void compactHeap();
-    /** Pull every live entry with when == @p t out of the heap in
-     *  one sweep (appended to @p out unordered), reclaiming
-     *  tombstones on the way, then re-heapify what remains. */
-    void extractTick(Tick t, std::vector<HeapEntry> &out);
-    /** Dispatch one popped live entry (caller advanced curTick). */
-    void dispatch(const HeapEntry &e);
+    /** Earliest live tick over both bands (heap first on ties),
+     *  cascading the wheel no further than @p limit; false if none
+     *  is due by @p limit. On success the base has been moved to the
+     *  returned tick unless that tick lies behind it. */
+    bool nextTick(Tick limit, Tick &out);
+    /** Dispatch pending slot @p idx at its tick. */
+    void dispatch(std::uint32_t idx);
 
     Tick curTick = 0;
+    /** Wheel position: every wheel entry's tick is >= wheelBase.
+     *  Never moves backwards. */
+    Tick wheelBase = 0;
     std::uint32_t nextSeq = 1;
     std::size_t livePending = 0;
 
-    /** Wheel bucket lists (slot indices) and occupancy bitmap. */
-    std::vector<std::uint32_t> bucketHead =
-        std::vector<std::uint32_t>(kWheelSize, kNoSlot);
-    std::vector<std::uint32_t> bucketTail =
-        std::vector<std::uint32_t>(kWheelSize, kNoSlot);
+    /** Wheel bucket lists, level-major, and their occupancy bitmap
+     *  (one bit per bucket) with a per-level summary (one bit per
+     *  bitmap word) for O(1) find-first-set. */
+    std::vector<Bucket> buckets =
+        std::vector<Bucket>(firstBucket(kLevels));
     std::vector<std::uint64_t> wheelOcc =
-        std::vector<std::uint64_t>(kWheelWords, 0);
+        std::vector<std::uint64_t>(firstBucket(kLevels) / 64, 0);
+    std::uint64_t occSummary[kLevels] = {};
 
     std::vector<HeapEntry> heap;
     std::vector<std::unique_ptr<Slot[]>> chunks;
@@ -339,13 +456,8 @@ class EventQueue
     std::uint32_t freeHead = kNoSlot;
 
     /** Estimate of tombstone entries still in the heap; drives
-     *  compaction. Approximate by design (a cancel hitting an entry
-     *  already drained into the same-tick batch over-counts by one),
-     *  so it is clamped rather than trusted exactly. */
+     *  compaction. Clamped at zero rather than trusted exactly. */
     std::size_t deadInHeap = 0;
-
-    /** Same-tick batch scratch, reused across run() iterations. */
-    std::vector<HeapEntry> batch;
 
     KernelCounters counters_;
 

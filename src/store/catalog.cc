@@ -178,4 +178,21 @@ ImageCatalog::verifyDisk(const std::string &name,
     return true;
 }
 
+bool
+ImageCatalog::tokensMatch(const std::string &name, sim::Lba lba,
+                          const std::vector<std::uint64_t> &tokens) const
+{
+    const std::size_t idx = chunkIndexOf(lba);
+    const ChunkPayload *p = store_.find(digestAt(name, idx));
+    sim::panicIfNot(p != nullptr, "tokensMatch: chunk vanished");
+    const auto off = static_cast<std::uint32_t>(lba - chunkStartLba(idx));
+    sim::panicIfNot(off + tokens.size() <= p->sectors,
+                    "tokensMatch: range crosses a chunk boundary");
+    for (std::uint32_t i = 0; i < tokens.size(); ++i) {
+        if (tokens[i] != hw::sectorToken(p->baseAt(off + i), lba + i))
+            return false;
+    }
+    return true;
+}
+
 } // namespace store

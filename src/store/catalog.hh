@@ -79,6 +79,14 @@ class ImageCatalog
     bool verifyDisk(const std::string &name,
                     const hw::DiskStore &disk) const;
 
+    /**
+     * True when @p tokens are exactly the image's content for the
+     * sectors [lba, lba + tokens.size()), which must lie within one
+     * chunk (payload gaps read as base 0).
+     */
+    bool tokensMatch(const std::string &name, sim::Lba lba,
+                     const std::vector<std::uint64_t> &tokens) const;
+
     std::size_t imageCount() const { return images_.size(); }
 
     /** Every registered image, by name (digest-sharing walks). */

@@ -110,7 +110,14 @@ ChunkStreamer::fetchFromPeer(const std::shared_ptr<FetchOp> &op,
             fabric_.peers().noteFetchEnd(peer);
             if (halted_)
                 return;
-            if (st == aoe::RoutedStatus::Ok) {
+            // A peer answers from whatever its export holds now, and
+            // the registry can still name a MAC whose slot was re-leased
+            // and whose export came back empty (it reads as zeros).
+            // Check the content against the catalog; a mismatch fails
+            // over like an error.
+            if (st == aoe::RoutedStatus::Ok &&
+                fabric_.catalog().tokensMatch(image_, piece.lba,
+                                              tokens)) {
                 if (peerHits_++ == 0 && obs::armed()) {
                     obs::Tracer &t = obs::tracer();
                     t.milestone(obsTrack_.id(t),

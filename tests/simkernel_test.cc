@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests for the fast simulation kernel: the heap-based EventQueue is
- * driven against a reference std::multimap model under 100k random
- * schedule/cancel/runUntil operations (identical execution order,
- * timestamps and counts required), InlineCallback's move semantics /
+ * Tests for the fast simulation kernel: the timing-wheel EventQueue
+ * is driven against a reference std::map model under 100k random
+ * schedule/cancel/runUntil operations, and again with delays spanning
+ * every wheel level and the overflow heap, periodics, run(limit) and
+ * step() (identical execution order, timestamps and counts
+ * required), InlineCallback's move semantics /
  * capture-size limit / destruction counting are checked directly,
  * and the generation-stamped EventId cancellation contract
  * (cancel-after-run, double-cancel, slot reuse) is pinned down.
@@ -23,49 +25,107 @@ namespace {
 
 // --- Reference model -------------------------------------------------
 
-/** The old std::map-based kernel, kept as the executable spec. */
+/** The old std::map-based kernel, kept as the executable spec. A
+ *  periodic event re-enters the map with a fresh seq each time it
+ *  fires, as the kernel re-posts it after its callback returns. */
 class ModelQueue
 {
   public:
     using Key = std::pair<sim::Tick, std::uint64_t>;
+    using Log = std::vector<std::pair<sim::Tick, int>>;
+
+    /** Schedule at an absolute tick; a periodic fires @p fires
+     *  times, every @p period ticks. @return a handle for
+     *  cancel(). */
+    std::uint64_t
+    scheduleAt(sim::Tick when, int payload, sim::Tick period = 0,
+               int fires = 1)
+    {
+        std::uint64_t seq = nextSeq++;
+        Key k{when, seq};
+        events.emplace(k, Event{payload, period, fires, seq});
+        live.emplace(seq, k);
+        return seq;
+    }
 
     std::uint64_t
     schedule(sim::Tick delay, int payload)
     {
-        std::uint64_t seq = nextSeq++;
-        events.emplace(Key{curTick + delay, seq}, payload);
-        return seq;
+        return scheduleAt(curTick + delay, payload);
     }
 
     bool
-    cancel(sim::Tick when, std::uint64_t seq)
+    cancel(std::uint64_t handle)
     {
-        return events.erase(Key{when, seq}) > 0;
+        auto it = live.find(handle);
+        if (it == live.end())
+            return false;
+        events.erase(it->second);
+        live.erase(it);
+        return true;
     }
 
     /** Run through @p when; append (tick, payload) to @p log. */
     void
-    runUntil(sim::Tick when,
-             std::vector<std::pair<sim::Tick, int>> &log)
+    runUntil(sim::Tick when, Log &log)
     {
-        while (!events.empty() &&
-               events.begin()->first.first <= when) {
-            auto it = events.begin();
-            curTick = it->first.first;
-            log.emplace_back(curTick, it->second);
-            events.erase(it);
-        }
+        runLimit(when, log);
         if (when > curTick)
             curTick = when;
+    }
+
+    /** Run events with tick <= @p limit; time stays at the last
+     *  executed event. */
+    void
+    runLimit(sim::Tick limit, Log &log)
+    {
+        while (!events.empty() &&
+               events.begin()->first.first <= limit)
+            fireFront(log);
+    }
+
+    bool
+    step(Log &log)
+    {
+        if (events.empty())
+            return false;
+        fireFront(log);
+        return true;
     }
 
     sim::Tick now() const { return curTick; }
     std::size_t pending() const { return events.size(); }
 
   private:
+    struct Event
+    {
+        int payload;
+        sim::Tick period;
+        int fires;
+        std::uint64_t handle;
+    };
+
+    void
+    fireFront(Log &log)
+    {
+        auto it = events.begin();
+        curTick = it->first.first;
+        Event ev = it->second;
+        events.erase(it);
+        log.emplace_back(curTick, ev.payload);
+        if (ev.period != 0 && --ev.fires > 0) {
+            Key k{curTick + ev.period, nextSeq++};
+            events.emplace(k, ev);
+            live[ev.handle] = k;
+        } else {
+            live.erase(ev.handle);
+        }
+    }
+
     sim::Tick curTick = 0;
     std::uint64_t nextSeq = 1;
-    std::map<Key, int> events;
+    std::map<Key, Event> events;
+    std::map<std::uint64_t, Key> live; //!< handle -> current key
 };
 
 /** Drive EventQueue and ModelQueue with the same op stream; assert
@@ -85,7 +145,6 @@ TEST_P(KernelProperty, MatchesReferenceModel)
     struct Live
     {
         sim::EventId id;
-        sim::Tick when = 0;
         std::uint64_t modelSeq = 0;
     };
     std::vector<Live> cancellable;
@@ -99,7 +158,6 @@ TEST_P(KernelProperty, MatchesReferenceModel)
             sim::Tick delay = rng.uniformInt(0, 500);
             int payload = nextPayload++;
             Live lv;
-            lv.when = eq.now() + delay;
             lv.id = eq.schedule(
                 delay, [payload, &gotLog, &eq]() {
                     gotLog.emplace_back(eq.now(), payload);
@@ -113,7 +171,7 @@ TEST_P(KernelProperty, MatchesReferenceModel)
                 rng.uniformInt(0, cancellable.size() - 1);
             Live lv = cancellable[pick];
             bool got = eq.cancel(lv.id);
-            bool want = model.cancel(lv.when, lv.modelSeq);
+            bool want = model.cancel(lv.modelSeq);
             ASSERT_EQ(got, want) << "cancel mismatch at op " << op;
             cancellable.erase(cancellable.begin() + pick);
         } else {
@@ -143,6 +201,151 @@ TEST_P(KernelProperty, MatchesReferenceModel)
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelProperty,
+                         ::testing::Range(1, 6));
+
+/** Log-uniform-ish delay in [0, 2^maxBits): equal odds per bit
+ *  length, so every wheel level and the overflow band see traffic. */
+sim::Tick
+logUniform(sim::Rng &rng, unsigned maxBits)
+{
+    const auto bits = static_cast<unsigned>(rng.uniformInt(0, maxBits));
+    return bits == 0 ? 0
+                     : rng.uniformInt(0, (sim::Tick(1) << bits) - 1);
+}
+
+/** KernelProperty across every band: delays up to 2^48 ticks (past
+ *  the wheel's 2^44-tick span, so the overflow heap and every
+ *  level-to-level cascade are exercised), same-tick cohorts posted
+ *  from different bases, self-terminating periodics, and all three
+ *  ways of advancing time — including run(limit) stopping short,
+ *  after which events can land behind the wheel's base. */
+class KernelPropertyWide : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(KernelPropertyWide, MatchesReferenceModelAcrossBands)
+{
+    constexpr unsigned kMaxBits = 48;
+    /** At least this far out, an event is past the wheel's 2^44-tick
+     *  span wherever the base is. */
+    constexpr sim::Tick kFar = sim::Tick(1) << 44;
+    sim::Rng rng(GetParam());
+    sim::EventQueue eq;
+    ModelQueue model;
+    ModelQueue::Log gotLog, wantLog;
+
+    struct Live
+    {
+        sim::EventId id;
+        sim::Tick when = 0; //!< first firing
+        std::uint64_t modelHandle = 0;
+    };
+    std::vector<Live> cancellable;
+    /** Periodic kernel-side state: the callback cancels its own
+     *  cycle after `left` firings. Boxed so addresses stay put. */
+    struct Periodic
+    {
+        sim::EventId id;
+        int left = 0;
+    };
+    std::vector<std::unique_ptr<Periodic>> periodics;
+    std::vector<sim::Tick> farTicks;
+    int nextPayload = 0;
+
+    auto scheduleOneShot = [&](sim::Tick when) {
+        const int payload = nextPayload++;
+        Live lv;
+        lv.when = when;
+        lv.id = eq.scheduleAt(when, [payload, &gotLog, &eq]() {
+            gotLog.emplace_back(eq.now(), payload);
+        });
+        lv.modelHandle = model.scheduleAt(when, payload);
+        cancellable.push_back(lv);
+    };
+
+    constexpr int kOps = 100000;
+    for (int op = 0; op < kOps; ++op) {
+        const double dice = rng.uniform();
+        if (dice < 0.40) {
+            const sim::Tick delay = logUniform(rng, kMaxBits);
+            if (delay >= kFar)
+                farTicks.push_back(eq.now() + delay);
+            scheduleOneShot(eq.now() + delay);
+        } else if (dice < 0.50 && !cancellable.empty()) {
+            // Join an existing tick's cohort from today's base. Half
+            // the joins target a tick first scheduled past the
+            // wheel's span, so overflow and wheel entries share ticks.
+            const sim::Tick target =
+                !farTicks.empty() && rng.uniform() < 0.5
+                    ? farTicks[rng.uniformInt(0, farTicks.size() - 1)]
+                    : cancellable[rng.uniformInt(
+                                      0, cancellable.size() - 1)]
+                          .when;
+            scheduleOneShot(std::max(target, eq.now()));
+        } else if (dice < 0.55) {
+            const sim::Tick period = 1 + logUniform(rng, kMaxBits);
+            const int fires =
+                static_cast<int>(rng.uniformInt(1, 8));
+            const int payload = nextPayload++;
+            auto p = std::make_unique<Periodic>();
+            Periodic *raw = p.get();
+            raw->left = fires;
+            raw->id = eq.schedulePeriodic(
+                period, [raw, payload, &gotLog, &eq]() {
+                    gotLog.emplace_back(eq.now(), payload);
+                    if (--raw->left == 0)
+                        eq.cancel(raw->id);
+                });
+            periodics.push_back(std::move(p));
+            Live lv;
+            lv.when = eq.now() + period;
+            lv.id = raw->id;
+            lv.modelHandle = model.scheduleAt(eq.now() + period,
+                                              payload, period, fires);
+            cancellable.push_back(lv);
+        } else if (dice < 0.75 && !cancellable.empty()) {
+            const std::size_t pick =
+                rng.uniformInt(0, cancellable.size() - 1);
+            const bool got = eq.cancel(cancellable[pick].id);
+            const bool want = model.cancel(cancellable[pick].modelHandle);
+            ASSERT_EQ(got, want) << "cancel mismatch at op " << op;
+            cancellable.erase(cancellable.begin() +
+                              static_cast<std::ptrdiff_t>(pick));
+        } else if (dice < 0.87) {
+            const sim::Tick until = eq.now() + logUniform(rng, kMaxBits);
+            eq.runUntil(until);
+            model.runUntil(until, wantLog);
+        } else if (dice < 0.97) {
+            const sim::Tick limit = eq.now() + logUniform(rng, kMaxBits);
+            eq.run(limit);
+            model.runLimit(limit, wantLog);
+        } else {
+            ASSERT_EQ(eq.step(), model.step(wantLog))
+                << "step mismatch at op " << op;
+        }
+        ASSERT_EQ(eq.now(), model.now()) << "time mismatch at op " << op;
+        ASSERT_EQ(eq.pending(), model.pending())
+            << "pending mismatch at op " << op;
+    }
+    // Periodics stop themselves, so both sides drain completely.
+    eq.run();
+    model.runLimit(~sim::Tick(0), wantLog);
+    EXPECT_EQ(eq.now(), model.now());
+    EXPECT_TRUE(eq.empty());
+
+    ASSERT_EQ(gotLog.size(), wantLog.size());
+    for (std::size_t i = 0; i < gotLog.size(); ++i) {
+        ASSERT_EQ(gotLog[i].first, wantLog[i].first)
+            << "timestamp diverges at event " << i;
+        ASSERT_EQ(gotLog[i].second, wantLog[i].second)
+            << "order diverges at event " << i;
+    }
+    // The op mix must actually reach the overflow band and cascade.
+    EXPECT_GT(eq.counters().overflowPosted, 0u);
+    EXPECT_GT(eq.counters().cascaded, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelPropertyWide,
                          ::testing::Range(1, 6));
 
 // --- EventId / cancellation contract ---------------------------------
@@ -402,17 +605,29 @@ TEST(KernelCounters, TrackSchedulingActivity)
     sim::EventQueue eq;
     for (int i = 0; i < 10; ++i)
         eq.schedule(sim::Tick(i) + 1, []() {});
-    auto id = eq.schedule(1000, []() {});
-    eq.cancel(id);
+    // The 100 us poll distance (0x186a0 ticks) is filed at level 1
+    // and cascades once, into its level-0 bucket; 10 ms (0x989680)
+    // starts at level 2 and cascades twice.
+    eq.schedule(100 * sim::kUs, []() {});
+    eq.schedule(10 * sim::kMs, []() {});
+    // A cancelled wheel entry is reclaimed at once (O(1) unlink).
+    eq.cancel(eq.schedule(1000, []() {}));
+    EXPECT_EQ(eq.counters().tombstonesPopped, 1u);
+    // Past the wheel's 2^44-tick span: the overflow heap, where a
+    // cancelled entry stays as a tombstone until drained.
+    eq.cancel(eq.schedule(sim::Tick(1) << 45, []() {}));
+    EXPECT_EQ(eq.counters().tombstonesPopped, 1u);
     eq.run();
 
     const auto &c = eq.counters();
-    EXPECT_EQ(c.scheduled, 11u);
-    EXPECT_EQ(c.executed, 10u);
-    EXPECT_EQ(c.cancelled, 1u);
-    EXPECT_EQ(c.tombstonesPopped, 1u);
-    EXPECT_EQ(c.peakPending, 11u);
+    EXPECT_EQ(c.scheduled, 14u);
+    EXPECT_EQ(c.executed, 12u);
+    EXPECT_EQ(c.cancelled, 2u);
+    EXPECT_EQ(c.tombstonesPopped, 2u);
+    EXPECT_EQ(c.peakPending, 13u);
     EXPECT_EQ(c.spilledCallbacks, 0u);
+    EXPECT_EQ(c.overflowPosted, 1u);
+    EXPECT_EQ(c.cascaded, 3u);
 }
 
 } // namespace

@@ -4,7 +4,8 @@
  * flat and overlay deployments, peer-assisted streaming on repeat
  * deployments, k-of-n reconstruction with a seed server down, the
  * release path returning a peer's chunks to the store while fetches
- * are in flight, and tick-identity of the disabled store against the
+ * are in flight, failover past a peer whose disk no longer holds what
+ * the registry advertises, and tick-identity of the disabled store against the
  * legacy single-server path.
  */
 
@@ -175,6 +176,45 @@ TEST(StoreDeploy, ReleasedPeerMidFetchFailsOverToStripe)
     ASSERT_TRUE(runUntil(eq, 80000 * sim::kSec,
                          [&]() { return bareMetal(b); }))
         << "k-of-n reconstruction must take over for the dead peer";
+    EXPECT_TRUE(b->machine().disk().store().rangeHasBase(
+        0, kImageSectors, kBase));
+    EXPECT_TRUE(cloud.storeFabric()->catalog().verifyDisk(
+        "img", b->machine().disk().store()));
+}
+
+TEST(StoreDeploy, StalePeerContentFailsOverToStripe)
+{
+    sim::EventQueue eq;
+    bmcast::Cloud cloud(eq, "region", storeConfig(2));
+    cloud.addImage("img", kImageBytes, kBase);
+
+    bmcast::Instance *a = cloud.provision("img", nullptr);
+    ASSERT_NE(a, nullptr);
+    ASSERT_TRUE(runUntil(eq, 40000 * sim::kSec,
+                         [&]() { return bareMetal(a); }));
+
+    // The registry still names the warm peer for every chunk, but its
+    // export now reads as zeros — what a slot re-leased under the same
+    // MAC returns from its fresh export target.
+    store::StoreFabric &fab = *cloud.storeFabric();
+    const store::ImageDesc *desc = fab.catalog().find("img");
+    ASSERT_NE(desc, nullptr);
+    const auto stale = fab.peers().sourcesFor(desc->chunks[0], 0);
+    ASSERT_FALSE(stale.empty());
+    for (net::MacAddr mac : stale)
+        fab.peerServer(mac)->findTarget(desc->major, 0)->store.write(
+            0, kImageSectors, 0);
+
+    bmcast::Instance *b = cloud.provision("img", nullptr);
+    ASSERT_NE(b, nullptr);
+    ASSERT_TRUE(runUntil(eq, 80000 * sim::kSec,
+                         [&]() { return bareMetal(b); }));
+
+    store::ChunkStreamer *bs = streamerOf(b);
+    ASSERT_NE(bs, nullptr);
+    EXPECT_GT(bs->sourceFailures(), 0u)
+        << "the peer's answers must be checked and rejected";
+    EXPECT_EQ(bs->peerHits(), 0u);
     EXPECT_TRUE(b->machine().disk().store().rangeHasBase(
         0, kImageSectors, kBase));
     EXPECT_TRUE(cloud.storeFabric()->catalog().verifyDisk(
