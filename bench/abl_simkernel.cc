@@ -4,9 +4,9 @@
  *
  * Every simulated action in the repo funnels through sim::EventQueue,
  * so its per-event cost multiplies every experiment. This bench pits
- * the current kernel (hierarchical timing wheel + 4-ary min-heap
- * overflow band, O(1) unlink on cancel, pooled slots, inline
- * callbacks, native periodic events) against the original
+ * the current kernel (one hierarchical timing wheel over all 64 tick
+ * bits, O(1) unlink on cancel, pooled slots, inline callbacks,
+ * native periodic events) against the original
  * std::map<pair<Tick,seq>, std::function> kernel, which is embedded
  * below as the baseline.
  *
@@ -52,7 +52,7 @@
  * Every callback folds (now, payload) into a per-run hash; a mix
  * whose dispatch-sequence hash differs between the two kernels fails
  * the run, so a speedup can never come from executing something
- * else. Runs of the two kernels are interleaved (map, heap, map,
+ * else. Runs of the two kernels are interleaved (map, wheel, map,
  * ...) and the best of gReps is kept per kernel, so machine-load
  * drift hits both sides alike. Emits machine-readable
  * BENCH_simkernel.json; EXPERIMENTS.md records the baseline numbers.
@@ -135,7 +135,7 @@ class MapKernel
 };
 
 /** Adapter giving the real kernel the same surface as MapKernel. */
-class HeapKernel
+class WheelKernel
 {
   public:
     using Id = sim::EventId;
@@ -496,7 +496,7 @@ struct MixRow
 {
     std::string name;
     MixResult map;
-    MixResult heap;
+    MixResult wheel;
     /** Every rep of both kernels executed the same (tick, payload)
      *  sequence. */
     bool sameDispatch = true;
@@ -505,15 +505,15 @@ struct MixRow
     speedup() const
     {
         return map.eventsPerSec() > 0
-                   ? heap.eventsPerSec() / map.eventsPerSec()
+                   ? wheel.eventsPerSec() / map.eventsPerSec()
                    : 0.0;
     }
 };
 
 /** Interleaved best-of-gReps: load spikes hit both kernels alike. */
-template <typename MapFn, typename HeapFn>
+template <typename MapFn, typename WheelFn>
 MixRow
-measure(const std::string &name, MapFn &&mapFn, HeapFn &&heapFn)
+measure(const std::string &name, MapFn &&mapFn, WheelFn &&wheelFn)
 {
     MixRow row;
     row.name = name;
@@ -521,9 +521,9 @@ measure(const std::string &name, MapFn &&mapFn, HeapFn &&heapFn)
         MixResult m = mapFn();
         if (row.map.wallNs == 0 || m.wallNs < row.map.wallNs)
             row.map = m;
-        MixResult h = heapFn();
-        if (row.heap.wallNs == 0 || h.wallNs < row.heap.wallNs)
-            row.heap = h;
+        MixResult h = wheelFn();
+        if (row.wheel.wallNs == 0 || h.wallNs < row.wheel.wallNs)
+            row.wheel = h;
         row.sameDispatch = row.sameDispatch && m.hash == h.hash &&
                            m.events == h.events;
     }
@@ -548,39 +548,39 @@ main(int argc, char **argv)
     std::vector<MixRow> rows;
     rows.push_back(measure("schedule_heavy",
                            [] { return scheduleHeavy<MapKernel>(); },
-                           [] { return scheduleHeavy<HeapKernel>(); }));
+                           [] { return scheduleHeavy<WheelKernel>(); }));
     rows.push_back(measure("poller_steady",
                            [] { return pollerSteady<MapKernel>(); },
-                           [] { return pollerSteady<HeapKernel>(); }));
+                           [] { return pollerSteady<WheelKernel>(); }));
     rows.push_back(measure("cancel_heavy",
                            [] { return cancelHeavy<MapKernel>(); },
-                           [] { return cancelHeavy<HeapKernel>(); }));
+                           [] { return cancelHeavy<WheelKernel>(); }));
     rows.push_back(measure("same_tick_burst",
                            [] { return sameTickBurst<MapKernel>(); },
-                           [] { return sameTickBurst<HeapKernel>(); }));
+                           [] { return sameTickBurst<WheelKernel>(); }));
     rows.push_back(
         measure("measured_cadence",
                 [] { return measuredCadence<MapKernel>(); },
-                [] { return measuredCadence<HeapKernel>(); }));
+                [] { return measuredCadence<WheelKernel>(); }));
 
     sim::Table t({"Mix", "Events", "map kernel (Mev/s)",
                   "new kernel (Mev/s)", "Speedup", "Dispatch hash"});
     for (const auto &r : rows) {
         std::ostringstream h;
-        h << "0x" << std::hex << r.heap.hash
+        h << "0x" << std::hex << r.wheel.hash
           << (r.sameDispatch ? "" : " MISMATCH");
-        t.addRow({r.name, std::to_string(r.heap.events),
+        t.addRow({r.name, std::to_string(r.wheel.events),
                   sim::Table::num(r.map.eventsPerSec() / 1e6, 2),
-                  sim::Table::num(r.heap.eventsPerSec() / 1e6, 2),
+                  sim::Table::num(r.wheel.eventsPerSec() / 1e6, 2),
                   sim::Table::num(r.speedup(), 2) + "x", h.str()});
     }
     t.print(std::cout);
 
     // Counter snapshot from an instrumented run of the measured mix:
-    // how the schedules split between wheel and overflow heap.
+    // schedules, cancels and cascades per executed event.
     {
-        HeapKernel q;
-        Driver<HeapKernel> d(q, 777);
+        WheelKernel q;
+        Driver<WheelKernel> d(q, 777);
         startMeasured(d);
         const std::uint64_t n = q.run(measuredHorizon() / 5);
         std::cout << "\nKernel counters (measured_cadence, " << n
@@ -597,12 +597,12 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto &r = rows[i];
         json << "    {\"name\": \"" << r.name << "\", "
-             << "\"events\": " << r.heap.events << ", "
+             << "\"events\": " << r.wheel.events << ", "
              << "\"map_wall_ns\": " << r.map.wallNs << ", "
-             << "\"heap_wall_ns\": " << r.heap.wallNs << ", "
+             << "\"wheel_wall_ns\": " << r.wheel.wallNs << ", "
              << "\"map_events_per_sec\": " << r.map.eventsPerSec()
              << ", "
-             << "\"heap_events_per_sec\": " << r.heap.eventsPerSec()
+             << "\"wheel_events_per_sec\": " << r.wheel.eventsPerSec()
              << ", "
              << "\"speedup\": " << r.speedup() << ", "
              << "\"same_dispatch\": "

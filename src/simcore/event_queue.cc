@@ -91,25 +91,13 @@ EventQueue::cancel(const EventId &id)
         // exists for it at this moment (it was popped to fire).
         return true;
     }
-    if (s.inWheel) {
-        // O(1) unlink from the doubly-linked bucket list: cancelled
-        // timers (the AoE retransmission pattern, armed ~80 ms out
-        // and almost always cancelled) free their slot at once
-        // instead of waiting for their bucket to cascade.
-        wheelUnlink(s);
-        ++counters_.tombstonesPopped;
-        freeSlot(id.slot);
-        return true;
-    }
-    // Heap: drop the closure now (it may own resources); the entry
-    // stays behind as a tombstone and is reclaimed when its tick is
-    // drained or the heap is compacted.
-    s.cb.reset();
-    ++deadInHeap;
-    // Amortized-O(1) pressure valve: once tombstones outnumber live
-    // entries, one sweep reclaims them all.
-    if (deadInHeap > 64 && deadInHeap * 2 > heap.size())
-        compactHeap();
+    // O(1) unlink from the doubly-linked bucket list: cancelled
+    // timers (the AoE retransmission pattern, armed ~80 ms out and
+    // almost always cancelled) free their slot at once instead of
+    // waiting for their bucket to cascade.
+    wheelUnlink(s);
+    ++counters_.tombstonesPopped;
+    freeSlot(id.slot);
     return true;
 }
 
@@ -145,18 +133,11 @@ EventQueue::freeSlot(std::uint32_t idx)
 void
 EventQueue::postEntry(Tick when, std::uint32_t slot)
 {
-    Slot &s = slotRef(slot);
-    s.when = when;
-    const Tick diff = when ^ wheelBase;
-    if (when >= wheelBase && (diff >> kSpanBits) == 0) {
-        const unsigned level = levelOf(when);
-        s.inWheel = true;
-        bucketAppend(level, digit(when, level), slot);
-    } else {
-        s.inWheel = false;
-        ++counters_.overflowPosted;
-        push(when, slot);
-    }
+    // when >= now() >= base (see the file comment): every tick files
+    // into the wheel.
+    slotRef(slot).when = when;
+    const unsigned level = levelOf(when);
+    bucketAppend(level, digit(when, level), slot);
 }
 
 void
@@ -257,13 +238,11 @@ EventQueue::advanceBase(Tick nb)
     wheelBase = nb;
     if ((diff >> kNearBits) == 0)
         return; // same level-0 block: nothing changes level
+    // Every entry is >= nb, so buckets below the level of the highest
+    // digit that changed are empty, and only the bucket whose block
+    // nb entered needs re-filing.
     const unsigned level = levelOfDiff(diff);
-    // Every wheel entry is >= nb, so buckets below `level` are empty
-    // and only the bucket whose block nb entered needs re-filing.
-    // Past the top level the base left its whole 2^kSpanBits block,
-    // which every wheel entry lay in: the wheel is empty.
-    if (level < kLevels)
-        cascade(level, digit(nb, level));
+    cascade(level, digit(nb, level));
 }
 
 void
@@ -287,6 +266,19 @@ EventQueue::cascade(unsigned level, std::size_t d)
 }
 
 bool
+EventQueue::holdsDue(unsigned level, std::size_t d, Tick bound)
+{
+    for (std::uint32_t idx = buckets[firstBucket(level) + d].head;
+         idx != kNoSlot;) {
+        const Slot &s = slotRef(idx);
+        if (s.when <= bound)
+            return true;
+        idx = s.next;
+    }
+    return false;
+}
+
+bool
 EventQueue::wheelNext(Tick bound, Tick &out)
 {
     for (;;) {
@@ -307,188 +299,30 @@ EventQueue::wheelNext(Tick bound, Tick &out)
         }
         if (level == kLevels)
             return false;
+        // The top level's `up` is past bit 63, where a shift is
+        // undefined; its block prefix is empty.
         const unsigned up = shiftOf(level + 1);
-        const Tick start =
-            (wheelBase >> up << up) | (Tick(d) << shiftOf(level));
+        const Tick start = (up >= 64 ? 0 : wheelBase >> up << up) |
+                           (Tick(d) << shiftOf(level));
         if (start > bound)
             return false;
+        // A block straddling the bound cascades only if something in
+        // it is due: the base must not pass an event that run(bound)
+        // leaves pending, or a later post could land behind it.
+        const Tick last = start + ((Tick(1) << shiftOf(level)) - 1);
+        if (last > bound && !holdsDue(level, d, bound))
+            return false;
         advanceBase(start); // cascades bucket (level, d)
-    }
-}
-
-void
-EventQueue::push(Tick when, std::uint32_t slot)
-{
-    if (nextSeq == ~std::uint32_t(0))
-        renumberSeqs();
-    heap.push_back(HeapEntry{when, nextSeq++, slot});
-    siftUp(heap.size() - 1);
-}
-
-void
-EventQueue::renumberSeqs()
-{
-    // Dense re-assignment in (when, seq) order keeps the relative
-    // FIFO order of every pending event; a sorted array is a valid
-    // heap, so no re-heapify is needed. Runs at most once per 2^32
-    // schedules — amortized free.
-    std::sort(heap.begin(), heap.end(),
-              [](const HeapEntry &a, const HeapEntry &b) {
-                  return before(a, b);
-              });
-    std::uint32_t s = 0;
-    for (HeapEntry &e : heap)
-        e.seq = ++s;
-    nextSeq = s + 1;
-}
-
-EventQueue::HeapEntry
-EventQueue::popTop()
-{
-    HeapEntry top = heap.front();
-    const std::size_t n = heap.size() - 1;
-    if (n > 0) {
-        const HeapEntry tail = heap[n];
-        heap.pop_back();
-        // Bottom-up pop: descend the min-child path to the bottom
-        // without comparing against the displaced tail, then bubble
-        // the tail up from the hole. The tail came from the deepest
-        // layer, so the bubble-up almost always stops immediately —
-        // this saves a comparison (and a mispredicting early-exit
-        // branch) per level versus the classic sift-down.
-        std::size_t hole = 0;
-        for (;;) {
-            std::size_t child = 4 * hole + 1;
-            if (child >= n)
-                break;
-            const std::size_t end = std::min(child + 4, n);
-            std::size_t best = child;
-            // Ternary, not if: selects with cmov — see before().
-            for (std::size_t c = child + 1; c < end; ++c)
-                best = before(heap[c], heap[best]) ? c : best;
-            heap[hole] = heap[best];
-            hole = best;
-        }
-        while (hole > 0) {
-            const std::size_t parent = (hole - 1) >> 2;
-            if (!before(tail, heap[parent]))
-                break;
-            heap[hole] = heap[parent];
-            hole = parent;
-        }
-        heap[hole] = tail;
-    } else {
-        heap.pop_back();
-    }
-    return top;
-}
-
-void
-EventQueue::siftUp(std::size_t i)
-{
-    HeapEntry e = heap[i];
-    while (i > 0) {
-        std::size_t parent = (i - 1) >> 2;
-        if (!before(e, heap[parent]))
-            break;
-        heap[i] = heap[parent];
-        i = parent;
-    }
-    heap[i] = e;
-}
-
-void
-EventQueue::siftDown(std::size_t i)
-{
-    const std::size_t n = heap.size();
-    HeapEntry e = heap[i];
-    for (;;) {
-        std::size_t child = 4 * i + 1;
-        if (child >= n)
-            break;
-        const std::size_t end = std::min(child + 4, n);
-        std::size_t best = child;
-        for (std::size_t c = child + 1; c < end; ++c)
-            best = before(heap[c], heap[best]) ? c : best;
-        if (!before(heap[best], e))
-            break;
-        heap[i] = heap[best];
-        i = best;
-    }
-    heap[i] = e;
-}
-
-void
-EventQueue::reclaimTombstone(const HeapEntry &dead)
-{
-    // An entry can only go stale through cancel(): a slot is freed
-    // exactly when its single heap entry is reclaimed, so the slot
-    // still belongs to the cancelled event.
-    panicIfNot(slotRef(dead.slot).state == SlotState::Cancelled,
-               "tombstone points at a live slot");
-    ++counters_.tombstonesPopped;
-    if (deadInHeap > 0)
-        --deadInHeap;
-    freeSlot(dead.slot);
-}
-
-bool
-EventQueue::settleTop()
-{
-    while (!heap.empty()) {
-        if (slotRef(heap.front().slot).state == SlotState::Pending)
-            return true;
-        reclaimTombstone(popTop());
-    }
-    return false;
-}
-
-void
-EventQueue::compactHeap()
-{
-    std::size_t kept = 0;
-    for (const HeapEntry &e : heap) {
-        if (slotRef(e.slot).state == SlotState::Pending) {
-            heap[kept++] = e;
-        } else {
-            panicIfNot(slotRef(e.slot).state == SlotState::Cancelled,
-                       "tombstone points at a live slot");
-            ++counters_.tombstonesPopped;
-            freeSlot(e.slot);
-        }
-    }
-    heap.resize(kept);
-    deadInHeap = 0;
-    if (kept > 1) {
-        for (std::size_t i = (kept - 2) / 4 + 1; i-- > 0;)
-            siftDown(i);
     }
 }
 
 bool
 EventQueue::nextTick(Tick limit, Tick &out)
 {
-    const bool haveHeap = settleTop();
-    // Never cascade past the heap top: the heap cohort must be
-    // dispatched with the base at (or before) its tick.
-    const Tick bound =
-        haveHeap ? std::min(limit, heap.front().when) : limit;
-    Tick tw = 0;
-    const bool haveWheel = wheelNext(bound, tw);
-    Tick t;
-    if (haveHeap && (!haveWheel || heap.front().when <= tw))
-        t = heap.front().when;
-    else if (haveWheel)
-        t = tw;
-    else
+    if (!wheelNext(limit, out) || out > limit)
         return false;
-    if (t > limit)
-        return false;
-    // Every wheel entry is >= t here. A heap tick behind the base
-    // (posted after run(limit) stopped short) leaves the base alone.
-    if (t > wheelBase)
-        advanceBase(t);
-    out = t;
+    // out lies in the base's level-0 block: nothing re-files.
+    wheelBase = out;
     return true;
 }
 
@@ -531,7 +365,16 @@ EventQueue::dispatch(std::uint32_t idx)
         if (s.state == SlotState::Pending) {
             // Still armed: re-post for a drift-free cadence, one
             // list append into the wheel (the base is at `when`).
-            postEntry(when + s.period, idx);
+            const Tick next = when + s.period;
+            if (next < when) {
+                // Time cannot wrap: retire the cycle, then report it
+                // the way scheduleAt() reports a tick in the past.
+                --livePending;
+                freeSlot(idx);
+                panic("periodic event re-armed past the last tick: ",
+                      when, " + ", s.period);
+            }
+            postEntry(next, idx);
         } else {
             // The callback cancelled its own cycle.
             freeSlot(idx);
@@ -549,10 +392,7 @@ EventQueue::step()
     Tick t = 0;
     if (!nextTick(~Tick(0), t))
         return false;
-    if (settleTop() && heap.front().when == t)
-        dispatch(popTop().slot); // heap cohort first
-    else
-        dispatch(popLevel0(digit(t, 0)));
+    dispatch(popLevel0(digit(t, 0)));
     return true;
 }
 
@@ -564,20 +404,11 @@ EventQueue::run(Tick limit)
 
     Tick t = 0;
     while (nextTick(limit, t)) {
-        // Overflow cohort first: a heap entry for tick t predates
-        // every wheel entry for t. Its callbacks add tick-t events
-        // to the wheel (the base is at t), or — behind the base — to
-        // the heap with a larger seq, which this loop picks up.
-        while (settleTop() && heap.front().when == t) {
-            dispatch(popTop().slot);
-            ++n;
-        }
-
-        // Wheel: level-0 bucket t holds exactly tick t's wheel
-        // events in append (= FIFO) order; callbacks scheduling for
-        // the current tick append behind the cursor and run in this
-        // same drain. The base check stops the drain if a callback
-        // ran the queue reentrantly and moved the wheel on.
+        // Level-0 bucket t holds exactly tick t's events in append
+        // (= FIFO) order; callbacks scheduling for the current tick
+        // append behind the cursor and run in this same drain. The
+        // base check stops the drain if a callback ran the queue
+        // reentrantly and moved the wheel on.
         const std::size_t d = digit(t, 0);
         std::uint32_t u = kNoSlot;
         while (wheelBase == t && (u = popLevel0(d)) != kNoSlot) {
@@ -599,8 +430,8 @@ EventQueue::runUntil(Tick when)
     std::uint64_t n = run(when);
     if (when > curTick)
         curTick = when;
-    // run(when) left every wheel entry past `when`, so the base can
-    // follow the clock: later schedules then file relative to now.
+    // run(when) left every entry past `when`, so the base can follow
+    // the clock: later schedules then file relative to now.
     if (when > wheelBase)
         advanceBase(when);
     return n;

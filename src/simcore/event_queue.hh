@@ -2,77 +2,78 @@
  * @file
  * The discrete-event simulation kernel.
  *
- * A single EventQueue orders closures by (tick, sequence). All simulated
- * components in one Machine (and across Machines in one experiment)
- * share one queue so that cross-machine interactions (network packets)
- * are globally ordered.
+ * A single EventQueue orders closures by (tick, scheduling order). All
+ * simulated components in one Machine (and across Machines in one
+ * experiment) share one queue so that cross-machine interactions
+ * (network packets) are globally ordered.
  *
- * Implementation: a hierarchical timing wheel (Varghese & Lauck)
- * with a small overflow heap.
+ * Implementation: one hierarchical timing wheel (Varghese & Lauck)
+ * that covers the whole 64-bit tick space — there is no second band.
  *
- * Wheel — kLevels levels of buckets, every bucket an intrusive FIFO
- * list of slots plus one bit in an occupancy bitmap. Level 0 has
+ * Wheel — kLevels = 8 levels of buckets, every bucket an intrusive
+ * FIFO list of slots plus one bit in an occupancy bitmap. Level 0 has
  * 4096 one-tick buckets (the low 12 bits of the tick); each level
- * above indexes the next 8 bits with 256 buckets, so a level-l
- * bucket (l >= 1) spans 2^(12 + 8(l-1)) ticks and the five levels
- * span 2^44 ticks (4.9 h at 1 ns). The wheel is positioned at a base
+ * above indexes the next 8 bits with 256 buckets, so a level-l bucket
+ * (l >= 1) spans 2^(12 + 8(l-1)) ticks and the eight levels reach
+ * 12 + 7x8 = 68 >= 64 bits: every tick lies inside the wheel (the top
+ * level uses 16 of its buckets). The wheel is positioned at a base
  * tick (<= every entry it holds). An entry for tick T sits at the
  * level of the highest digit in which T and the base differ, in the
- * bucket named by T's digit at that level. Scheduling is one XOR,
- * one count-leading-zeros and a list append — no comparisons
- * against other entries. When the base enters a level-l bucket's
- * block (l >= 1), the bucket cascades: its entries are re-appended,
- * in list order, one or more levels down. Finding the next event is
- * a find-first-set through a two-level bitmap per level (one summary
+ * bucket named by T's digit at that level. Scheduling is one XOR, one
+ * count-leading-zeros and a list append — no comparisons against
+ * other entries. When the base enters a level-l bucket's block
+ * (l >= 1), the bucket cascades: its entries are re-appended, in list
+ * order, one or more levels down. Finding the next event is a
+ * find-first-set through a two-level bitmap per level (one summary
  * bit per bitmap word), cascading the first occupied higher-level
  * bucket until a level-0 bucket is hit.
+ *
+ * No post behind the base: the base never passes now(), except in
+ * runUntil(), which moves the clock along with it. Every post is for
+ * a tick >= now() (scheduleAt() rejects the past, and a periodic
+ * re-arm that would wrap past 2^64-1 panics), so every post files at
+ * or after the base and postEntry() has a single path. wheelNext()
+ * keeps the base behind the clock: it cascades a higher-level bucket
+ * only if that bucket holds an entry due by the caller's bound. Most
+ * blocks lie wholly before or after the bound; when the bucket's
+ * block straddles it, the bucket's list is walked for an entry due by
+ * the bound first. So run(limit) stopping short leaves the base at or
+ * behind the last executed event.
  *
  * FIFO invariant: a level-l bucket's entries for block B were all
  * posted while the base was outside B, and every entry posted
  * directly below level l for B was posted after the base entered B —
  * i.e. after the bucket cascaded. A cascade always lands in buckets
  * that are empty for that block, so re-appending in list order keeps
- * each level-0 bucket in scheduling order: append order IS
- * (tick, seq) order, exactly, with no sequence numbers in the wheel.
+ * each level-0 bucket in scheduling order: append order IS FIFO
+ * order, exactly, with no sequence numbers anywhere.
  *
  * Why this geometry: BMcast's mediators poll rather than trap, so
  * poll re-arms dominate. A distance histogram of every post over the
  * four perfbench workloads (seed 1) puts 51-75% of them in the
  * 65-131 us bin (the VMM's 100 us poll), only 0.5-3.5% within 4096
  * ticks (the reach of a flat wheel of 4096 one-tick buckets) and
- * 0.07-0.9% at 4.3 s or more (mostly 8.6-17 s timers, which a
- * 2^32-tick wheel would overflow). Here the
+ * 0.07-0.9% at 4.3 s or more (mostly 8.6-17 s timers). Here the
  * 100 us poll enters at level 1 and reaches its tick after one O(1)
  * cascade; short delays (completion chains, bursts) mostly land in
- * level 0 directly.
- *
- * Overflow — an indexed 4-ary min-heap over (tick, seq) holds the
- * rest: events whose tick lies outside the wheel's 2^44-tick block
- * (counted in KernelCounters::overflowPosted), and events posted
- * behind the base, which can only happen after run(limit) stopped
- * short with the base already moved past the last executed event. A
- * heap entry for tick T is always FIFO-older than any wheel entry
- * for T (posting it to the heap required the base to lie in an
- * earlier 2^44 block, or past T, and the base never moves backwards),
- * so cross-band ordering is "heap first", with no seq exchanged
- * between bands.
+ * level 0 directly. Levels 5-7 (2^44 ticks, 4.9 h at 1 ns, and up)
+ * cost 768 buckets (~6 KiB per queue) and see no traffic on any
+ * perfbench workload; they exist so that no tick needs another
+ * structure.
  *
  * Event records (the closures) live in a chunked slot pool recycled
  * through a free list; the chunks never move, so callbacks execute
  * in place (no per-dispatch closure copies) even when they schedule
- * further events. cancel() is O(1) in either band: a wheel entry is
- * unlinked from its doubly-linked bucket list (the wheel is always
- * filed against the current base, so the bucket follows from the
- * tick) and its slot freed at once; a heap entry stays behind as a
- * tombstone, reclaimed (and counted) when its tick is drained or —
- * once tombstones outnumber live entries — in one O(n) compaction.
- * Closures are stored in sim::InlineCallback, so the common small
- * captures never touch the heap.
+ * further events. cancel() is O(1): the entry is unlinked from its
+ * doubly-linked bucket list (the wheel is always filed against the
+ * current base, so the bucket follows from the tick) and its slot
+ * freed at once. Closures are stored in sim::InlineCallback, so the
+ * common small captures never touch the heap.
  *
  * API contract (relied upon across src/ and asserted by the property
  * test against a reference model):
  *  - events scheduled for the same tick run in scheduling order
- *    (stable FIFO; seq is the tiebreaker);
+ *    (stable FIFO);
  *  - an EventId stays valid() after its event runs — valid() means
  *    "this handle ever referred to a scheduled event", not "is still
  *    pending";
@@ -164,7 +165,9 @@ class EventQueue
      * previous firing's timestamp. The closure is stored once and
      * reused, so a periodic event allocates nothing per firing.
      * The handle stays cancellable across firings; cancel() (also
-     * from within the callback itself) stops the cycle.
+     * from within the callback itself) stops the cycle. A re-arm past
+     * the last representable tick throws PanicError rather than
+     * wrapping time around.
      */
     EventId schedulePeriodic(Tick interval, Callback cb);
 
@@ -209,7 +212,7 @@ class EventQueue
     /** True if no events are pending. */
     bool empty() const { return livePending == 0; }
 
-    /** Number of pending events (tombstones excluded). */
+    /** Number of pending events. */
     std::size_t pending() const { return livePending; }
 
     /**
@@ -236,23 +239,6 @@ class EventQueue
     const KernelCounters &counters() const { return counters_; }
 
   private:
-    /**
-     * Overflow-heap element: 16-byte POD ordered by (when, seq); the
-     * closure lives in the slot pool. seq is 32-bit to keep the entry
-     * at two words (a 4-child sibling group spans one cache line);
-     * the queue renumbers live seqs in one O(n log n) sweep before
-     * the counter can wrap, so FIFO order is exact at any event
-     * count. No generation stamp is needed here: a slot is freed
-     * only when its (single) entry is reclaimed, so an entry's slot
-     * can never have been recycled while the entry is still queued.
-     */
-    struct HeapEntry
-    {
-        Tick when;
-        std::uint32_t seq;
-        std::uint32_t slot;
-    };
-
     enum class SlotState : std::uint8_t { Free, Pending, Cancelled };
 
     /** Pooled event record; recycled through a free list. */
@@ -263,7 +249,7 @@ class EventQueue
         Tick period = 0; //!< 0 = one-shot
         std::uint32_t gen = 1;
         /** Free-list link while Free; bucket-list link while queued
-         *  in the wheel (a slot is never on both lists). */
+         *  (a slot is never on both lists). */
         std::uint32_t next = kNoSlot;
         /** Bucket-list back link, for O(1) unlink on cancel(). */
         std::uint32_t prev = kNoSlot;
@@ -272,9 +258,6 @@ class EventQueue
          *  not destroy the closure under its own feet (dispatch
          *  finishes the teardown). */
         bool executing = false;
-        /** Queued in the wheel (vs the overflow heap); steers
-         *  cancel() between unlink and tombstone. */
-        bool inWheel = false;
     };
 
     /** Intrusive doubly-linked FIFO list of slots. */
@@ -288,16 +271,17 @@ class EventQueue
 
     /** Wheel geometry: level 0 indexes the low kNearBits bits of the
      *  tick (one-tick buckets), each level above the next kLevelBits
-     *  bits, so the wheel spans 2^kSpanBits ticks. */
+     *  bits; kLevels levels cover every bit of a Tick. */
     static constexpr unsigned kNearBits = 12;
     static constexpr unsigned kLevelBits = 8;
-    static constexpr unsigned kLevels = 5;
-    static constexpr unsigned kSpanBits =
-        kNearBits + kLevelBits * (kLevels - 1);
+    static constexpr unsigned kLevels = 8;
+    static_assert(kNearBits + kLevelBits * (kLevels - 1) >=
+                      8 * sizeof(Tick),
+                  "the wheel must cover every tick");
     static constexpr std::size_t kNoBucket = ~std::size_t(0);
 
     /** Lowest tick bit of level @p level's digit (level kLevels: the
-     *  span). */
+     *  span, which may exceed 63 — never shift a Tick by it). */
     static constexpr unsigned
     shiftOf(unsigned level)
     {
@@ -328,19 +312,6 @@ class EventQueue
     static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
     static constexpr std::uint32_t kChunkMask = kChunkSize - 1;
 
-    /** Min-heap order on (when, seq): seq breaks ties so same-tick
-     *  events keep scheduling (FIFO) order. Bitwise (non-short-
-     *  circuit) form on purpose: heap keys are effectively random,
-     *  so a branchy compare mispredicts on nearly every sift step —
-     *  this form compiles to flag ops the sift loops can consume
-     *  with conditional moves. */
-    static bool
-    before(const HeapEntry &a, const HeapEntry &b)
-    {
-        return (a.when < b.when) |
-               ((a.when == b.when) & (a.seq < b.seq));
-    }
-
     /** Level of the highest digit set in @p diff (a tick XOR the
      *  base); the `| 1` maps "same tick" to level 0. */
     static unsigned
@@ -351,8 +322,8 @@ class EventQueue
         return h < kNearBits ? 0 : (h - kNearBits) / kLevelBits + 1;
     }
 
-    /** Wheel level of tick @p when (>= base, in the base's block):
-     *  its highest digit that differs from the base's. */
+    /** Wheel level of tick @p when (>= base): its highest digit that
+     *  differs from the base's. */
     unsigned
     levelOf(Tick when) const
     {
@@ -373,9 +344,7 @@ class EventQueue
         return chunks[idx >> kChunkShift][idx & kChunkMask];
     }
 
-    /** Queue a pending slot for @p when: the wheel if @p when lies in
-     *  the base's 2^kSpanBits block at or after the base, else the
-     *  overflow heap. */
+    /** Queue a pending slot for @p when (>= the base). */
     void postEntry(Tick when, std::uint32_t slot);
     /** Append to the tail of bucket (@p level, @p d). */
     void bucketAppend(unsigned level, std::size_t d,
@@ -397,10 +366,15 @@ class EventQueue
     /** Re-append bucket (@p level, @p d)'s entries below
      *  @p level. */
     void cascade(unsigned level, std::size_t d);
+    /** True if bucket (@p level, @p d) holds an entry due by
+     *  @p bound. */
+    bool holdsDue(unsigned level, std::size_t d, Tick bound);
     /**
-     * Earliest tick holding a wheel entry, cascading higher levels as
-     * needed — but never moving the base past @p bound. False if the
-     * wheel is empty or its next entry lies beyond @p bound.
+     * Earliest tick holding an entry, cascading higher levels as
+     * needed — but only buckets holding an entry due by @p bound, so
+     * the base never passes an event that is not going to run. False
+     * if the wheel is empty or its next entry lies beyond @p bound
+     * (the level-0 case may report a tick beyond @p bound).
      */
     bool wheelNext(Tick bound, Tick &out);
 
@@ -413,32 +387,16 @@ class EventQueue
     EventId finishPost(Tick when, std::uint32_t idx);
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t idx);
-    void push(Tick when, std::uint32_t slot);
-    HeapEntry popTop();
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
-    /** Re-assign dense seqs in heap order (runs before seq wrap). */
-    void renumberSeqs();
-    /** Drop tombstones from the heap top; true if a live entry
-     *  remains. */
-    bool settleTop();
-    /** Remove and reclaim a tombstone that was just popped. */
-    void reclaimTombstone(const HeapEntry &dead);
-    /** One O(n) sweep dropping every tombstone, then re-heapify. */
-    void compactHeap();
-    /** Earliest live tick over both bands (heap first on ties),
-     *  cascading the wheel no further than @p limit; false if none
-     *  is due by @p limit. On success the base has been moved to the
-     *  returned tick unless that tick lies behind it. */
+    /** Earliest pending tick, if one is due by @p limit; on success
+     *  the base has been moved to it. */
     bool nextTick(Tick limit, Tick &out);
     /** Dispatch pending slot @p idx at its tick. */
     void dispatch(std::uint32_t idx);
 
     Tick curTick = 0;
-    /** Wheel position: every wheel entry's tick is >= wheelBase.
-     *  Never moves backwards. */
+    /** Wheel position: every entry's tick is >= wheelBase, and
+     *  wheelBase <= curTick. Never moves backwards. */
     Tick wheelBase = 0;
-    std::uint32_t nextSeq = 1;
     std::size_t livePending = 0;
 
     /** Wheel bucket lists, level-major, and their occupancy bitmap
@@ -450,14 +408,9 @@ class EventQueue
         std::vector<std::uint64_t>(firstBucket(kLevels) / 64, 0);
     std::uint64_t occSummary[kLevels] = {};
 
-    std::vector<HeapEntry> heap;
     std::vector<std::unique_ptr<Slot[]>> chunks;
     std::uint32_t slotCount = 0;
     std::uint32_t freeHead = kNoSlot;
-
-    /** Estimate of tombstone entries still in the heap; drives
-     *  compaction. Clamped at zero rather than trusted exactly. */
-    std::size_t deadInHeap = 0;
 
     KernelCounters counters_;
 

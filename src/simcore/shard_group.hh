@@ -3,7 +3,7 @@
  * Sharded, multi-threaded discrete-event engine.
  *
  * A ShardGroup partitions an experiment into R *racks*, each with its
- * own EventQueue (the PR-1 timer-wheel + 4-ary-heap kernel,
+ * own EventQueue (the timing-wheel kernel of event_queue.hh,
  * unchanged), and executes the racks on S worker *shards* (threads),
  * rack r on shard r % S. Racks interact only through bounded SPSC
  * mailboxes; a cross-rack message posted at tick t must be delivered

@@ -19,7 +19,6 @@ publishKernelCounters(obs::Registry &reg, const std::string &label,
     reg.counter("kernel.spilled_callbacks", label)
         .set(k.spilledCallbacks);
     reg.counter("kernel.peak_pending", label).set(k.peakPending);
-    reg.counter("kernel.overflow_posted", label).set(k.overflowPosted);
     reg.counter("kernel.cascaded", label).set(k.cascaded);
     reg.counter("kernel.wall_ns", label).set(k.wallNs);
     reg.gauge("kernel.wall_ns_per_m_events", label)

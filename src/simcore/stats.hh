@@ -33,14 +33,11 @@ struct KernelCounters
     std::uint64_t scheduled = 0;        //!< events ever scheduled
     std::uint64_t executed = 0;         //!< callbacks dispatched
     std::uint64_t cancelled = 0;        //!< successful cancel() calls
-    /** Cancelled entries reclaimed: at cancel() for the wheel (an
-     *  O(1) unlink), lazily for overflow-heap tombstones. */
+    /** Cancelled entries reclaimed (each at its cancel(), by an
+     *  O(1) unlink from its wheel bucket). */
     std::uint64_t tombstonesPopped = 0;
     std::uint64_t spilledCallbacks = 0; //!< closures too big to inline
     std::uint64_t peakPending = 0;      //!< high-water pending events
-    /** Entries filed in the overflow heap instead of the timing
-     *  wheel (schedules and periodic re-arms alike). */
-    std::uint64_t overflowPosted = 0;
     /** Live entries moved down a wheel level by a cascade. */
     std::uint64_t cascaded = 0;
     std::uint64_t wallNs = 0;           //!< wall time inside run()

@@ -5,9 +5,7 @@
  * Each chunk digest maps to a stripe of code->width() members drawn
  * round-robin from the server pool.  The stripe's algebra lives in an
  * ec::Code: fetch plans and repair plans are plan DAGs the code
- * builds over the concrete member MACs (store/ec/code.hh), and the
- * legacy planFor() shape survives as a flattening shim for callers
- * that only need the source list.
+ * builds over the concrete member MACs (store/ec/code.hh).
  *
  * Modeling note: the simulation carries sector *tokens*, not real
  * bytes, so every stripe member exports the full chunk content and
@@ -25,7 +23,6 @@
 #ifndef STORE_PLACEMENT_HH
 #define STORE_PLACEMENT_HH
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,35 +37,17 @@ namespace store {
 class Placement
 {
   public:
-    /** Legacy shape: flat k+m Reed–Solomon over @p servers. */
-    Placement(unsigned dataShards, unsigned parityShards,
-              std::vector<net::MacAddr> servers);
-
-    /** Plan-driven shape: any code over @p servers. */
+    /** Any code over @p servers. */
     Placement(std::shared_ptr<const ec::Code> code,
               std::vector<net::MacAddr> servers);
-
-    /** A flattened fetch plan: the chosen sources, possibly parity. */
-    struct Plan
-    {
-        std::vector<net::MacAddr> sources;
-        unsigned parityUsed = 0;
-    };
 
     /** Stripe members for @p d (data members first, overrides
      *  applied). */
     std::vector<net::MacAddr> stripeFor(Digest d) const;
 
-    /**
-     * Pick k live stripe members for @p d, preferring data members
-     * and back-filling from live parity.  Returns nullopt when too
-     * few members are live (chunk unreconstructable right now).
-     */
-    std::optional<Plan>
-    planFor(Digest d,
-            const std::function<bool(net::MacAddr)> &live) const;
-
-    /** The code's read plan for @p sectors sectors of chunk @p d. */
+    /** The code's read plan for @p sectors sectors of chunk @p d;
+     *  nullopt when too few members are live (chunk unreconstructable
+     *  right now). */
     std::optional<ec::Plan>
     readPlanFor(Digest d, const ec::LiveFn &live,
                 std::uint32_t sectors) const;

@@ -3,9 +3,11 @@
  * Tests for the fast simulation kernel: the timing-wheel EventQueue
  * is driven against a reference std::map model under 100k random
  * schedule/cancel/runUntil operations, and again with delays spanning
- * every wheel level and the overflow heap, periodics, run(limit) and
+ * every wheel level up to 2^62 ticks, periodics, run(limit) and
  * step() (identical execution order, timestamps and counts
- * required), InlineCallback's move semantics /
+ * required), the ends of the tick range and posts after run(limit)
+ * stops short are pinned as plain cases, InlineCallback's move
+ * semantics /
  * capture-size limit / destruction counting are checked directly,
  * and the generation-stamped EventId cancellation contract
  * (cancel-after-run, double-cancel, slot reuse) is pinned down.
@@ -13,12 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "simcore/event_queue.hh"
 #include "simcore/inline_callback.hh"
+#include "simcore/logging.hh"
 #include "simcore/random.hh"
 
 namespace {
@@ -204,7 +208,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KernelProperty,
                          ::testing::Range(1, 6));
 
 /** Log-uniform-ish delay in [0, 2^maxBits): equal odds per bit
- *  length, so every wheel level and the overflow band see traffic. */
+ *  length, so every wheel level sees traffic. */
 sim::Tick
 logUniform(sim::Rng &rng, unsigned maxBits)
 {
@@ -213,21 +217,24 @@ logUniform(sim::Rng &rng, unsigned maxBits)
                      : rng.uniformInt(0, (sim::Tick(1) << bits) - 1);
 }
 
-/** KernelProperty across every band: delays up to 2^48 ticks (past
- *  the wheel's 2^44-tick span, so the overflow heap and every
- *  level-to-level cascade are exercised), same-tick cohorts posted
- *  from different bases, self-terminating periodics, and all three
- *  ways of advancing time — including run(limit) stopping short,
- *  after which events can land behind the wheel's base. */
+/** KernelProperty across every wheel level: delays drawn from the
+ *  whole 63-bit range (capped so that every tick stays below about
+ *  2^62 and no periodic can wrap), same-tick cohorts posted from different
+ *  bases, self-terminating periodics, and all three ways of advancing
+ *  time — including run(limit) stopping short inside a block that
+ *  holds nothing due, after which posts must still file correctly. */
 class KernelPropertyWide : public ::testing::TestWithParam<int>
 {
 };
 
 TEST_P(KernelPropertyWide, MatchesReferenceModelAcrossBands)
 {
-    constexpr unsigned kMaxBits = 48;
-    /** At least this far out, an event is past the wheel's 2^44-tick
-     *  span wherever the base is. */
+    constexpr unsigned kMaxBits = 63;
+    /** Draws shrink to a sixteenth of the distance left to kTop (0
+     *  past it), so 8 periodic firings never reach 2^64. */
+    constexpr sim::Tick kTop = sim::Tick(1) << 62;
+    /** At least this far out, an event files at level 5 or above
+     *  wherever the base is. */
     constexpr sim::Tick kFar = sim::Tick(1) << 44;
     sim::Rng rng(GetParam());
     sim::EventQueue eq;
@@ -252,6 +259,11 @@ TEST_P(KernelPropertyWide, MatchesReferenceModelAcrossBands)
     std::vector<sim::Tick> farTicks;
     int nextPayload = 0;
 
+    auto draw = [&]() {
+        const sim::Tick cap =
+            eq.now() >= kTop ? 0 : (kTop - eq.now()) / 16;
+        return std::min(logUniform(rng, kMaxBits), cap);
+    };
     auto scheduleOneShot = [&](sim::Tick when) {
         const int payload = nextPayload++;
         Live lv;
@@ -267,14 +279,14 @@ TEST_P(KernelPropertyWide, MatchesReferenceModelAcrossBands)
     for (int op = 0; op < kOps; ++op) {
         const double dice = rng.uniform();
         if (dice < 0.40) {
-            const sim::Tick delay = logUniform(rng, kMaxBits);
+            const sim::Tick delay = draw();
             if (delay >= kFar)
                 farTicks.push_back(eq.now() + delay);
             scheduleOneShot(eq.now() + delay);
         } else if (dice < 0.50 && !cancellable.empty()) {
             // Join an existing tick's cohort from today's base. Half
-            // the joins target a tick first scheduled past the
-            // wheel's span, so overflow and wheel entries share ticks.
+            // the joins target a tick first scheduled at least 2^44
+            // out, so entries posted from distant bases share ticks.
             const sim::Tick target =
                 !farTicks.empty() && rng.uniform() < 0.5
                     ? farTicks[rng.uniformInt(0, farTicks.size() - 1)]
@@ -283,7 +295,7 @@ TEST_P(KernelPropertyWide, MatchesReferenceModelAcrossBands)
                           .when;
             scheduleOneShot(std::max(target, eq.now()));
         } else if (dice < 0.55) {
-            const sim::Tick period = 1 + logUniform(rng, kMaxBits);
+            const sim::Tick period = 1 + draw();
             const int fires =
                 static_cast<int>(rng.uniformInt(1, 8));
             const int payload = nextPayload++;
@@ -312,11 +324,11 @@ TEST_P(KernelPropertyWide, MatchesReferenceModelAcrossBands)
             cancellable.erase(cancellable.begin() +
                               static_cast<std::ptrdiff_t>(pick));
         } else if (dice < 0.87) {
-            const sim::Tick until = eq.now() + logUniform(rng, kMaxBits);
+            const sim::Tick until = eq.now() + draw();
             eq.runUntil(until);
             model.runUntil(until, wantLog);
         } else if (dice < 0.97) {
-            const sim::Tick limit = eq.now() + logUniform(rng, kMaxBits);
+            const sim::Tick limit = eq.now() + draw();
             eq.run(limit);
             model.runLimit(limit, wantLog);
         } else {
@@ -340,13 +352,70 @@ TEST_P(KernelPropertyWide, MatchesReferenceModelAcrossBands)
         ASSERT_EQ(gotLog[i].second, wantLog[i].second)
             << "order diverges at event " << i;
     }
-    // The op mix must actually reach the overflow band and cascade.
-    EXPECT_GT(eq.counters().overflowPosted, 0u);
+    // The op mix must actually reach the far levels and cascade.
+    EXPECT_FALSE(farTicks.empty());
     EXPECT_GT(eq.counters().cascaded, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelPropertyWide,
                          ::testing::Range(1, 6));
+
+// --- Plain cases at the edges of the wheel ---------------------------
+
+TEST(KernelEdges, PostAfterRunLimitStopsShortKeepsOrder)
+{
+    // run(9000) finds A's level-1 block (8192-12287) straddling the
+    // limit with nothing due by it: time, and every post after it,
+    // must stay where they were.
+    sim::EventQueue eq;
+    std::vector<char> order;
+    eq.scheduleAt(10000, [&]() { order.push_back('A'); });
+    EXPECT_EQ(eq.run(9000), 0u);
+    EXPECT_EQ(eq.now(), 0u);
+    eq.scheduleAt(100, [&]() { order.push_back('B'); });
+    eq.scheduleAt(10000, [&]() { order.push_back('C'); });
+    EXPECT_EQ(eq.run(), 3u);
+    EXPECT_EQ(order, (std::vector<char>{'B', 'A', 'C'}));
+    EXPECT_EQ(eq.now(), 10000u);
+}
+
+TEST(KernelEdges, TicksAcrossTheWholeRangeKeepOrder)
+{
+    constexpr sim::Tick kEnd = ~sim::Tick(0);
+    const sim::Tick t44 = sim::Tick(1) << 44;
+    const sim::Tick t60 = sim::Tick(1) << 60;
+    const sim::Tick t63 = sim::Tick(1) << 63;
+    sim::EventQueue eq;
+    std::vector<std::pair<sim::Tick, int>> log;
+    auto at = [&](sim::Tick when, int payload) {
+        return eq.scheduleAt(when, [&log, &eq, payload]() {
+            log.emplace_back(eq.now(), payload);
+        });
+    };
+    at(kEnd, 1);
+    at(t63, 2);
+    at(t60, 3);
+    at(t44, 4);
+    EXPECT_TRUE(eq.cancel(at(t63 + 1, 99)));
+    // Join the 2^63 and last-tick cohorts from a second base, past
+    // 2^44 and just short of 2^60.
+    eq.runUntil(t60 - 5);
+    EXPECT_EQ(eq.now(), t60 - 5);
+    at(t63, 5);
+    at(kEnd, 6);
+    EXPECT_EQ(log, (std::vector<std::pair<sim::Tick, int>>{{t44, 4}}));
+    EXPECT_EQ(eq.pending(), 5u);
+    EXPECT_EQ(eq.run(), 5u);
+    EXPECT_EQ(eq.now(), kEnd);
+    EXPECT_TRUE(eq.empty());
+    using Log = std::vector<std::pair<sim::Tick, int>>;
+    EXPECT_EQ(log, (Log{{t44, 4},
+                        {t60, 3},
+                        {t63, 2},
+                        {t63, 5},
+                        {kEnd, 1},
+                        {kEnd, 6}}));
+}
 
 // --- EventId / cancellation contract ---------------------------------
 
@@ -459,6 +528,19 @@ TEST(PeriodicEvents, StableOrderAgainstOneShots)
     // assigned at tick 10) runs after the tick-20 one-shot that was
     // scheduled at tick 0.
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 1}));
+}
+
+TEST(PeriodicEvents, ReArmPastTheLastTickPanics)
+{
+    // 2^64-6 + 10 wraps to 4: time must not run backwards.
+    sim::EventQueue eq;
+    eq.runUntil(~sim::Tick(0) - 15);
+    std::vector<sim::Tick> fires;
+    eq.schedulePeriodic(10, [&]() { fires.push_back(eq.now()); });
+    EXPECT_THROW(eq.run(), sim::PanicError);
+    EXPECT_EQ(fires, (std::vector<sim::Tick>{~sim::Tick(0) - 5}));
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.run(), 0u);
 }
 
 TEST(PeriodicEvents, CallbackStoredOnceNoPerFireScheduling)
@@ -610,13 +692,12 @@ TEST(KernelCounters, TrackSchedulingActivity)
     // starts at level 2 and cascades twice.
     eq.schedule(100 * sim::kUs, []() {});
     eq.schedule(10 * sim::kMs, []() {});
-    // A cancelled wheel entry is reclaimed at once (O(1) unlink).
+    // A cancelled entry is reclaimed at once (O(1) unlink), near or
+    // far.
     eq.cancel(eq.schedule(1000, []() {}));
     EXPECT_EQ(eq.counters().tombstonesPopped, 1u);
-    // Past the wheel's 2^44-tick span: the overflow heap, where a
-    // cancelled entry stays as a tombstone until drained.
     eq.cancel(eq.schedule(sim::Tick(1) << 45, []() {}));
-    EXPECT_EQ(eq.counters().tombstonesPopped, 1u);
+    EXPECT_EQ(eq.counters().tombstonesPopped, 2u);
     eq.run();
 
     const auto &c = eq.counters();
@@ -626,7 +707,6 @@ TEST(KernelCounters, TrackSchedulingActivity)
     EXPECT_EQ(c.tombstonesPopped, 2u);
     EXPECT_EQ(c.peakPending, 13u);
     EXPECT_EQ(c.spilledCallbacks, 0u);
-    EXPECT_EQ(c.overflowPosted, 1u);
     EXPECT_EQ(c.cascaded, 3u);
 }
 

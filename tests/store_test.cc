@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <iomanip>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "aoe/protocol.hh"
 #include "hw/disk_store.hh"
@@ -241,10 +243,40 @@ TEST(StoreCatalog, OverlayFamilySharesBaseChunksAnalytically)
 
 // --- Placement: k-of-n reconstruction plans ---
 
+/** Flat k+m Reed-Solomon placement over @p macs. */
+store::Placement
+flatRs(unsigned k, unsigned m, std::vector<net::MacAddr> macs)
+{
+    return store::Placement(
+        store::ec::makeCode(store::ec::CodeKind::FlatRs,
+                            store::ec::CodeParams{k, m, 1, 0}),
+        std::move(macs));
+}
+
+/** A read plan of one sector per data member, so every chosen member
+ *  surfaces as exactly one fetch, in pick order. */
+std::optional<store::ec::Plan>
+pickPlan(const store::Placement &p, store::Digest d,
+         const store::ec::LiveFn &live)
+{
+    return p.readPlanFor(d, live, p.dataShards());
+}
+
+/** The serving members of @p plan, in fetch order. */
+std::vector<net::MacAddr>
+sourcesOf(const store::ec::Plan &plan)
+{
+    std::vector<net::MacAddr> out;
+    for (const auto &s : plan.steps)
+        if (s.op == store::ec::StepOp::Fetch)
+            out.push_back(s.source);
+    return out;
+}
+
 TEST(StorePlacement, AnyKLiveStripeMembersYieldAPlan)
 {
     std::vector<net::MacAddr> macs{0x10, 0x11, 0x12, 0x13, 0x14, 0x15};
-    store::Placement p(4, 2, macs);
+    store::Placement p = flatRs(4, 2, macs);
     EXPECT_EQ(p.stripeWidth(), 6u);
 
     const store::Digest d = 0x1234567;
@@ -254,36 +286,42 @@ TEST(StorePlacement, AnyKLiveStripeMembersYieldAPlan)
     std::set<net::MacAddr> down;
     auto live = [&](net::MacAddr m) { return down.count(m) == 0; };
 
-    auto plan = p.planFor(d, live);
+    auto plan = pickPlan(p, d, live);
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->sources.size(), 4u);
+    EXPECT_EQ(sourcesOf(*plan),
+              (std::vector<net::MacAddr>{stripe[0], stripe[1],
+                                         stripe[2], stripe[3]}))
+        << "data members first";
     EXPECT_EQ(plan->parityUsed, 0u) << "all data members live";
 
     // Kill data members one at a time: parity substitutes, up to m.
     down.insert(stripe[0]);
-    plan = p.planFor(d, live);
+    plan = pickPlan(p, d, live);
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->sources.size(), 4u);
+    EXPECT_EQ(sourcesOf(*plan),
+              (std::vector<net::MacAddr>{stripe[1], stripe[2],
+                                         stripe[3], stripe[4]}))
+        << "live parity back-fills";
     EXPECT_EQ(plan->parityUsed, 1u);
 
     down.insert(stripe[1]);
-    plan = p.planFor(d, live);
+    plan = pickPlan(p, d, live);
     ASSERT_TRUE(plan.has_value());
     EXPECT_EQ(plan->parityUsed, 2u);
 
     // Third loss: fewer than k live members, unreconstructable.
     down.insert(stripe[2]);
-    EXPECT_FALSE(p.planFor(d, live).has_value());
+    EXPECT_FALSE(pickPlan(p, d, live).has_value());
 
     // One member back: reconstructable again.
     down.erase(stripe[1]);
-    EXPECT_TRUE(p.planFor(d, live).has_value());
+    EXPECT_TRUE(pickPlan(p, d, live).has_value());
 }
 
 TEST(StorePlacement, StripesRotateAcrossThePool)
 {
     std::vector<net::MacAddr> macs{1, 2, 3, 4, 5, 6, 7, 8};
-    store::Placement p(4, 2, macs);
+    store::Placement p = flatRs(4, 2, macs);
     EXPECT_EQ(p.stripeWidth(), 6u) << "k+m of the pool, not all of it";
     auto a = p.stripeFor(0);
     auto b = p.stripeFor(1);
@@ -299,14 +337,14 @@ TEST(StorePlacement, StripesRotateAcrossThePool)
 TEST(StorePlacement, SmallPoolsDegradeToAllDataMembers)
 {
     std::vector<net::MacAddr> macs{1, 2, 3};
-    store::Placement p(3, 2, macs);
+    store::Placement p = flatRs(3, 2, macs);
     EXPECT_EQ(p.stripeWidth(), 3u);
-    auto plan = p.planFor(42, [](net::MacAddr) { return true; });
+    auto plan = pickPlan(p, 42, [](net::MacAddr) { return true; });
     ASSERT_TRUE(plan.has_value());
-    EXPECT_EQ(plan->sources.size(), 3u);
+    EXPECT_EQ(sourcesOf(*plan).size(), 3u);
     EXPECT_EQ(plan->parityUsed, 0u);
     // Any loss is fatal: there is no parity slack.
-    auto none = p.planFor(42, [&](net::MacAddr m) { return m != 2; });
+    auto none = pickPlan(p, 42, [&](net::MacAddr m) { return m != 2; });
     EXPECT_FALSE(none.has_value());
 }
 
