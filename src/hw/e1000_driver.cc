@@ -120,21 +120,10 @@ E1000Driver::pumpTx()
         txBacklog.pop_front();
 
         sim::Addr buf = txBufs + txTail * kBufSize;
-        sim::Bytes len = 14 + f.payload.size();
+        sim::Bytes len = kWireHeader + f.payload.size();
         sim::panicIfNot(len <= kBufSize,
                         "frame exceeds driver buffer: ", len);
-
-        for (int i = 0; i < 6; ++i) {
-            mem.write8(buf + i, static_cast<std::uint8_t>(
-                                    f.dst >> (8 * (5 - i))));
-            mem.write8(buf + 6 + i, static_cast<std::uint8_t>(
-                                        f.src >> (8 * (5 - i))));
-        }
-        mem.write8(buf + 12,
-                   static_cast<std::uint8_t>(f.etherType >> 8));
-        mem.write8(buf + 13, static_cast<std::uint8_t>(f.etherType));
-        if (!f.payload.empty())
-            mem.write(buf + 14, f.payload.data(), f.payload.size());
+        writeWireFrame(mem, buf, f);
 
         sim::Addr desc = txRing + txTail * kDescSize;
         mem.write64(desc, buf);
@@ -182,20 +171,7 @@ E1000Driver::poll()
         std::uint16_t len = mem.read16(desc + 8);
         std::uint16_t special = mem.read16(desc + 14);
 
-        net::Frame f;
-        std::uint64_t dst = 0, src = 0;
-        for (int i = 0; i < 6; ++i) {
-            dst = (dst << 8) | mem.read8(buf + i);
-            src = (src << 8) | mem.read8(buf + 6 + i);
-        }
-        f.dst = dst;
-        f.src = src;
-        f.etherType = static_cast<std::uint16_t>(
-            (mem.read8(buf + 12) << 8) | mem.read8(buf + 13));
-        f.payload.resize(len > 14 ? len - 14 : 0);
-        if (!f.payload.empty())
-            mem.read(buf + 14, f.payload.data(), f.payload.size());
-        f.padding = sim::Bytes(special) << 3;
+        net::Frame f = readWireFrame(mem, buf, len, special);
 
         // Return the descriptor to hardware.
         mem.write8(desc + 12, 0);

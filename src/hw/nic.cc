@@ -1,5 +1,7 @@
 #include "hw/nic.hh"
 
+#include <array>
+
 #include "simcore/logging.hh"
 
 namespace hw {
@@ -27,6 +29,45 @@ nicModelSpeed(NicModel model)
 {
     return model == NicModel::X540 ? 10e9 : 1e9;
 }
+
+namespace e1000 {
+
+net::Frame
+readWireFrame(const PhysMem &mem, sim::Addr buf, std::uint16_t len,
+              std::uint16_t special)
+{
+    std::array<std::uint8_t, kWireHeader> h;
+    mem.read(buf, h.data(), h.size());
+    net::Frame f;
+    for (int i = 0; i < 6; ++i) {
+        f.dst = (f.dst << 8) | h[i];
+        f.src = (f.src << 8) | h[6 + i];
+    }
+    f.etherType = static_cast<std::uint16_t>((h[12] << 8) | h[13]);
+    f.payload.resize(len > kWireHeader ? len - kWireHeader : 0);
+    if (!f.payload.empty())
+        mem.read(buf + kWireHeader, f.payload.data(), f.payload.size());
+    f.padding = sim::Bytes(special) << 3;
+    return f;
+}
+
+void
+writeWireFrame(PhysMem &mem, sim::Addr buf, const net::Frame &frame)
+{
+    std::array<std::uint8_t, kWireHeader> h;
+    for (int i = 0; i < 6; ++i) {
+        h[i] = static_cast<std::uint8_t>(frame.dst >> (8 * (5 - i)));
+        h[6 + i] = static_cast<std::uint8_t>(frame.src >> (8 * (5 - i)));
+    }
+    h[12] = static_cast<std::uint8_t>(frame.etherType >> 8);
+    h[13] = static_cast<std::uint8_t>(frame.etherType);
+    mem.write(buf, h.data(), h.size());
+    if (!frame.payload.empty())
+        mem.write(buf + kWireHeader, frame.payload.data(),
+                  frame.payload.size());
+}
+
+} // namespace e1000
 
 E1000Nic::E1000Nic(sim::EventQueue &eq, std::string name,
                    NicModel model, IoBus &bus_, PhysMem &mem_,
@@ -159,24 +200,7 @@ E1000Nic::processTx()
         std::uint8_t cmd = mem.read8(desc + 11);
         std::uint16_t special = mem.read16(desc + 14);
 
-        // Parse the on-wire frame header from the buffer.
-        net::Frame frame;
-        std::uint64_t dst = 0, src = 0;
-        for (int i = 0; i < 6; ++i) {
-            dst = (dst << 8) | mem.read8(buf + i);
-            src = (src << 8) | mem.read8(buf + 6 + i);
-        }
-        frame.dst = dst;
-        frame.src = src;
-        frame.etherType = static_cast<std::uint16_t>(
-            (mem.read8(buf + 12) << 8) | mem.read8(buf + 13));
-        frame.payload.resize(length > 14 ? length - 14 : 0);
-        if (!frame.payload.empty())
-            mem.read(buf + 14, frame.payload.data(),
-                     frame.payload.size());
-        // Out-of-band length extension (see net/frame.hh): elided bulk
-        // payload bytes, carried in the descriptor's special field.
-        frame.padding = sim::Bytes(special) << 3;
+        net::Frame frame = readWireFrame(mem, buf, length, special);
 
         auto finish = [this, desc, cmd, count2](net::Frame f) {
             port_.send(std::move(f));
@@ -234,24 +258,10 @@ E1000Nic::onFrame(const net::Frame &frame)
     sim::Addr desc = sim::Addr(rdbal) + rdh * kDescSize;
     sim::Addr buf = mem.read64(desc);
 
-    // Reassemble the wire header + payload into the buffer.
-    for (int i = 0; i < 6; ++i) {
-        mem.write8(buf + i,
-                   static_cast<std::uint8_t>(frame.dst >>
-                                             (8 * (5 - i))));
-        mem.write8(buf + 6 + i,
-                   static_cast<std::uint8_t>(frame.src >>
-                                             (8 * (5 - i))));
-    }
-    mem.write8(buf + 12,
-               static_cast<std::uint8_t>(frame.etherType >> 8));
-    mem.write8(buf + 13, static_cast<std::uint8_t>(frame.etherType));
-    if (!frame.payload.empty())
-        mem.write(buf + 14, frame.payload.data(),
-                  frame.payload.size());
+    writeWireFrame(mem, buf, frame);
 
     auto length =
-        static_cast<std::uint16_t>(14 + frame.payload.size());
+        static_cast<std::uint16_t>(kWireHeader + frame.payload.size());
     mem.write16(desc + 8, length);
     mem.write8(desc + 12,
                static_cast<std::uint8_t>(kDescDd | kRxStEop));

@@ -77,6 +77,26 @@ constexpr std::uint8_t kTxCmdRs = 0x08;
 constexpr std::uint8_t kDescDd = 0x01;
 constexpr std::uint8_t kRxStEop = 0x02;
 
+/** Bytes of the Ethernet header at the start of a descriptor buffer. */
+constexpr sim::Bytes kWireHeader = 14;
+
+/**
+ * Parse the frame in a descriptor buffer: the wire header at @p buf
+ * (destination and source MACs, then the ether type, all big-endian),
+ * followed by @p len - 14 payload bytes. The descriptor's special
+ * field carries the elided bulk bytes (see net/frame.hh):
+ * padding = special << 3.
+ */
+net::Frame readWireFrame(const PhysMem &mem, sim::Addr buf,
+                         std::uint16_t len, std::uint16_t special);
+
+/**
+ * Write @p frame's wire header and payload at @p buf, in the layout
+ * readWireFrame() parses. The descriptor (length, special) is the
+ * caller's.
+ */
+void writeWireFrame(PhysMem &mem, sim::Addr buf, const net::Frame &frame);
+
 } // namespace e1000
 
 /** The NIC device. */

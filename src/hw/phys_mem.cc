@@ -6,33 +6,32 @@
 
 namespace hw {
 
-const PhysMem::Page *
-PhysMem::findPage(sim::Addr page_addr) const
-{
-    auto it = pages.find(page_addr);
-    return it == pages.end() ? nullptr : &it->second;
-}
-
 PhysMem::Page &
-PhysMem::touchPage(sim::Addr page_addr)
+PhysMem::materialize(sim::Addr addr)
 {
-    auto [it, inserted] = pages.try_emplace(page_addr);
-    if (inserted)
-        it->second.fill(0);
-    return it->second;
+    std::size_t d = addr >> kLeafShift;
+    if (d >= dir.size())
+        dir.resize(d + 1);
+    if (!dir[d])
+        dir[d] = std::make_unique<Leaf>();
+    auto &slot = dir[d]->pages[(addr >> kPageShift) & (kLeafPages - 1)];
+    if (!slot) {
+        slot = std::make_unique<Page>(); // value-initialized: zeros
+        ++numPages;
+    }
+    return *slot;
 }
 
 void
-PhysMem::read(sim::Addr addr, void *out, sim::Bytes len) const
+PhysMem::readPages(sim::Addr addr, void *out, sim::Bytes len) const
 {
-    sim::panicIfNot(addr + len <= size_,
+    sim::panicIfNot(inRange(addr, len),
                     "phys read out of range: ", addr, "+", len);
     auto *dst = static_cast<std::uint8_t *>(out);
     while (len > 0) {
-        sim::Addr page_addr = addr & ~(kPageSize - 1);
-        sim::Bytes off = addr - page_addr;
+        sim::Bytes off = addr & (kPageSize - 1);
         sim::Bytes chunk = std::min<sim::Bytes>(len, kPageSize - off);
-        if (const Page *page = findPage(page_addr))
+        if (const Page *page = findPage(addr))
             std::memcpy(dst, page->data() + off, chunk);
         else
             std::memset(dst, 0, chunk);
@@ -43,16 +42,15 @@ PhysMem::read(sim::Addr addr, void *out, sim::Bytes len) const
 }
 
 void
-PhysMem::write(sim::Addr addr, const void *in, sim::Bytes len)
+PhysMem::writePages(sim::Addr addr, const void *in, sim::Bytes len)
 {
-    sim::panicIfNot(addr + len <= size_,
+    sim::panicIfNot(inRange(addr, len),
                     "phys write out of range: ", addr, "+", len);
     auto *src = static_cast<const std::uint8_t *>(in);
     while (len > 0) {
-        sim::Addr page_addr = addr & ~(kPageSize - 1);
-        sim::Bytes off = addr - page_addr;
+        sim::Bytes off = addr & (kPageSize - 1);
         sim::Bytes chunk = std::min<sim::Bytes>(len, kPageSize - off);
-        std::memcpy(touchPage(page_addr).data() + off, src, chunk);
+        std::memcpy(touchPage(addr).data() + off, src, chunk);
         src += chunk;
         addr += chunk;
         len -= chunk;
@@ -62,13 +60,12 @@ PhysMem::write(sim::Addr addr, const void *in, sim::Bytes len)
 void
 PhysMem::fill(sim::Addr addr, std::uint8_t value, sim::Bytes len)
 {
-    sim::panicIfNot(addr + len <= size_,
+    sim::panicIfNot(inRange(addr, len),
                     "phys fill out of range: ", addr, "+", len);
     while (len > 0) {
-        sim::Addr page_addr = addr & ~(kPageSize - 1);
-        sim::Bytes off = addr - page_addr;
+        sim::Bytes off = addr & (kPageSize - 1);
         sim::Bytes chunk = std::min<sim::Bytes>(len, kPageSize - off);
-        std::memset(touchPage(page_addr).data() + off, value, chunk);
+        std::memset(touchPage(addr).data() + off, value, chunk);
         addr += chunk;
         len -= chunk;
     }

@@ -103,19 +103,7 @@ E1000GuestPort::takeTx(net::Frame &frame)
     std::uint16_t len = mem.read16(d + 8);
     std::uint16_t special = mem.read16(d + 14);
 
-    std::uint64_t dst = 0, src = 0;
-    for (int i = 0; i < 6; ++i) {
-        dst = (dst << 8) | mem.read8(buf + i);
-        src = (src << 8) | mem.read8(buf + 6 + i);
-    }
-    frame.dst = dst;
-    frame.src = src;
-    frame.etherType = static_cast<std::uint16_t>(
-        (mem.read8(buf + 12) << 8) | mem.read8(buf + 13));
-    frame.payload.resize(len > 14 ? len - 14 : 0);
-    if (!frame.payload.empty())
-        mem.read(buf + 14, frame.payload.data(), frame.payload.size());
-    frame.padding = sim::Bytes(special) << 3;
+    frame = readWireFrame(mem, buf, len, special);
 
     // Complete the guest descriptor.
     mem.write8(d + 12,
@@ -132,20 +120,9 @@ E1000GuestPort::deliverRx(const net::Frame &frame)
         return false; // guest not ready: drop, as hardware would
     sim::Addr d = sim::Addr(g.rdbal) + g.rdh * kDescSize;
     sim::Addr buf = mem.read64(d);
-    for (int i = 0; i < 6; ++i) {
-        mem.write8(buf + i, static_cast<std::uint8_t>(
-                                frame.dst >> (8 * (5 - i))));
-        mem.write8(buf + 6 + i, static_cast<std::uint8_t>(
-                                    frame.src >> (8 * (5 - i))));
-    }
-    mem.write8(buf + 12,
-               static_cast<std::uint8_t>(frame.etherType >> 8));
-    mem.write8(buf + 13, static_cast<std::uint8_t>(frame.etherType));
-    if (!frame.payload.empty())
-        mem.write(buf + 14, frame.payload.data(),
-                  frame.payload.size());
+    writeWireFrame(mem, buf, frame);
     mem.write16(d + 8, static_cast<std::uint16_t>(
-                           14 + frame.payload.size()));
+                           kWireHeader + frame.payload.size()));
     mem.write8(d + 12,
                static_cast<std::uint8_t>(kDescDd | kRxStEop));
     mem.write16(d + 14,

@@ -72,25 +72,9 @@ E1000RingPort::release(const GuestRingState &g)
     while (tdh_now != sTxTail) {
         sim::Addr d = sTxRing + tdh_now * kDescSize;
         if (!(mem.read8(d + 12) & kDescDd)) {
-            sim::Addr buf = mem.read64(d);
-            std::uint16_t len = mem.read16(d + 8);
-            std::uint16_t special = mem.read16(d + 14);
-            net::Frame f;
-            std::uint64_t dst = 0, src = 0;
-            for (int i = 0; i < 6; ++i) {
-                dst = (dst << 8) | mem.read8(buf + i);
-                src = (src << 8) | mem.read8(buf + 6 + i);
-            }
-            f.dst = dst;
-            f.src = src;
-            f.etherType = static_cast<std::uint16_t>(
-                (mem.read8(buf + 12) << 8) | mem.read8(buf + 13));
-            f.payload.resize(len > 14 ? len - 14 : 0);
-            if (!f.payload.empty())
-                mem.read(buf + 14, f.payload.data(),
-                         f.payload.size());
-            f.padding = sim::Bytes(special) << 3;
-            nic_.port().send(std::move(f));
+            nic_.port().send(readWireFrame(mem, mem.read64(d),
+                                           mem.read16(d + 8),
+                                           mem.read16(d + 14)));
         }
         tdh_now = (tdh_now + 1) % kShadowSize;
     }
@@ -136,20 +120,9 @@ E1000RingPort::txPush(const net::Frame &frame)
     if (txFree() == 0)
         return false;
     sim::Addr buf = sTxBufs + sTxTail * kBufSize;
-    sim::Bytes len = 14 + frame.payload.size();
+    sim::Bytes len = kWireHeader + frame.payload.size();
     sim::panicIfNot(len <= kBufSize, "oversize frame in shadow ring");
-    for (int i = 0; i < 6; ++i) {
-        mem.write8(buf + i, static_cast<std::uint8_t>(
-                                frame.dst >> (8 * (5 - i))));
-        mem.write8(buf + 6 + i, static_cast<std::uint8_t>(
-                                    frame.src >> (8 * (5 - i))));
-    }
-    mem.write8(buf + 12,
-               static_cast<std::uint8_t>(frame.etherType >> 8));
-    mem.write8(buf + 13, static_cast<std::uint8_t>(frame.etherType));
-    if (!frame.payload.empty())
-        mem.write(buf + 14, frame.payload.data(),
-                  frame.payload.size());
+    writeWireFrame(mem, buf, frame);
 
     sim::Addr d = sTxRing + sTxTail * kDescSize;
     mem.write64(d, buf);
@@ -170,23 +143,8 @@ E1000RingPort::rxPop(net::Frame &frame)
     std::uint8_t st = mem.read8(d + 12);
     if (!(st & kDescDd))
         return false;
-    sim::Addr buf = mem.read64(d);
-    std::uint16_t len = mem.read16(d + 8);
-    std::uint16_t special = mem.read16(d + 14);
-
-    std::uint64_t dst = 0, src = 0;
-    for (int i = 0; i < 6; ++i) {
-        dst = (dst << 8) | mem.read8(buf + i);
-        src = (src << 8) | mem.read8(buf + 6 + i);
-    }
-    frame.dst = dst;
-    frame.src = src;
-    frame.etherType = static_cast<std::uint16_t>(
-        (mem.read8(buf + 12) << 8) | mem.read8(buf + 13));
-    frame.payload.resize(len > 14 ? len - 14 : 0);
-    if (!frame.payload.empty())
-        mem.read(buf + 14, frame.payload.data(), frame.payload.size());
-    frame.padding = sim::Bytes(special) << 3;
+    frame = readWireFrame(mem, mem.read64(d), mem.read16(d + 8),
+                          mem.read16(d + 14));
 
     // Return the shadow descriptor to hardware.
     mem.write8(d + 12, 0);

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
+#include <set>
 
 #include "guest/ahci_driver.hh"
 #include "guest/ide_driver.hh"
@@ -20,6 +23,7 @@
 #include "hw/e1000_driver.hh"
 #include "hw/firmware.hh"
 #include "hw/machine.hh"
+#include "hw/nic.hh"
 #include "hw/phys_mem.hh"
 #include "simcore/random.hh"
 
@@ -31,6 +35,10 @@ TEST(PhysMem, ZeroFilledByDefault)
 {
     hw::PhysMem mem(1 * sim::kGiB);
     EXPECT_EQ(mem.read64(0x1234), 0u);
+    // Empty accesses touch nothing either.
+    std::uint8_t b = 0;
+    mem.write(0x5000, &b, 0);
+    mem.fill(0x6000, 0xFF, 0);
     EXPECT_EQ(mem.pagesAllocated(), 0u);
 }
 
@@ -66,6 +74,221 @@ TEST(PhysMem, FillRange)
     EXPECT_EQ(mem.read8(5099), 0xABu);
     EXPECT_EQ(mem.read8(99), 0u);
     EXPECT_EQ(mem.read8(5100), 0u);
+}
+
+TEST(PhysMem, WrappingAddressPanics)
+{
+    hw::PhysMem mem(1 * sim::kGiB);
+    constexpr sim::Addr kTop = ~sim::Addr(0);
+    std::uint8_t buf[32] = {};
+    // addr + len wraps past 2^64 to a small, in-range value.
+    EXPECT_THROW(mem.write8(kTop, 7), sim::PanicError);
+    EXPECT_THROW(mem.read8(kTop), sim::PanicError);
+    EXPECT_THROW(mem.write64(kTop - 3, 7), sim::PanicError);
+    EXPECT_THROW(mem.read(kTop - 15, buf, sizeof(buf)), sim::PanicError);
+    EXPECT_THROW(mem.write(kTop - 15, buf, sizeof(buf)), sim::PanicError);
+    EXPECT_THROW(mem.fill(kTop - 15, 7, sizeof(buf)), sim::PanicError);
+    EXPECT_EQ(mem.pagesAllocated(), 0u);
+
+    // The last byte is still reachable, and one past it is not.
+    mem.write8(mem.size() - 1, 7);
+    EXPECT_EQ(mem.read8(mem.size() - 1), 7u);
+    EXPECT_THROW(mem.read8(mem.size()), sim::PanicError);
+    EXPECT_THROW(mem.read16(mem.size() - 1), sim::PanicError);
+    EXPECT_EQ(mem.pagesAllocated(), 1u);
+}
+
+class PhysMemProperty : public ::testing::TestWithParam<int>
+{
+};
+
+/** Mixed typed and bulk accesses clustered at page edges, leaf (2 MiB)
+ *  edges and the end of memory, checked byte for byte against a map. */
+TEST_P(PhysMemProperty, MatchesByteModel)
+{
+    constexpr sim::Bytes kPage = 4096;
+    constexpr sim::Bytes kLeaf = 2 * sim::kMiB;
+    constexpr sim::Bytes kSize = 3 * kLeaf + 3 * kPage + 5;
+    sim::Rng rng(GetParam() * 977);
+    hw::PhysMem mem(kSize);
+    std::map<sim::Addr, std::uint8_t> model;
+    std::set<sim::Addr> pages;
+
+    auto expected = [&](sim::Addr a) -> std::uint8_t {
+        auto it = model.find(a);
+        return it == model.end() ? 0 : it->second;
+    };
+    auto store = [&](sim::Addr a, std::uint8_t v) {
+        model[a] = v;
+        pages.insert(a / kPage);
+    };
+    // An address for an access of @p len bytes, near an edge.
+    auto pick = [&](sim::Bytes len) -> sim::Addr {
+        std::int64_t a = 0;
+        std::int64_t jitter = std::int64_t(rng.uniformInt(0, len + 16)) -
+                              std::int64_t(len + 8);
+        switch (rng.uniformInt(0, 3)) {
+          case 0:
+            a = std::int64_t(rng.uniformInt(1, kSize / kPage) * kPage) +
+                jitter;
+            break;
+          case 1:
+            a = std::int64_t(rng.uniformInt(1, kSize / kLeaf) * kLeaf) +
+                jitter;
+            break;
+          case 2:
+            a = std::int64_t(kSize - len) -
+                std::int64_t(rng.uniformInt(0, 8));
+            break;
+          default:
+            a = std::int64_t(rng.uniformInt(0, kSize - len));
+            break;
+        }
+        return sim::Addr(
+            std::clamp<std::int64_t>(a, 0, std::int64_t(kSize - len)));
+    };
+
+    std::vector<std::uint8_t> buf;
+    for (int op = 0; op < 400; ++op) {
+        unsigned width = 1u << rng.uniformInt(0, 3);
+        switch (rng.uniformInt(0, 4)) {
+          case 0: { // typed write
+            sim::Addr a = pick(width);
+            std::uint64_t v = rng.next();
+            switch (width) {
+              case 1: mem.write8(a, std::uint8_t(v)); break;
+              case 2: mem.write16(a, std::uint16_t(v)); break;
+              case 4: mem.write32(a, std::uint32_t(v)); break;
+              default: mem.write64(a, v); break;
+            }
+            for (unsigned i = 0; i < width; ++i)
+                store(a + i, std::uint8_t(v >> (8 * i)));
+            break;
+          }
+          case 1: { // typed read
+            sim::Addr a = pick(width);
+            std::uint64_t want = 0;
+            for (unsigned i = 0; i < width; ++i)
+                want |= std::uint64_t(expected(a + i)) << (8 * i);
+            std::uint64_t got = 0;
+            switch (width) {
+              case 1: got = mem.read8(a); break;
+              case 2: got = mem.read16(a); break;
+              case 4: got = mem.read32(a); break;
+              default: got = mem.read64(a); break;
+            }
+            ASSERT_EQ(got, want) << "read" << width * 8 << " @" << a;
+            break;
+          }
+          case 2: { // bulk write
+            sim::Bytes len = rng.uniformInt(1, 3 * kPage);
+            sim::Addr a = pick(len);
+            buf.resize(len);
+            for (auto &b : buf)
+                b = std::uint8_t(rng.next());
+            mem.write(a, buf.data(), len);
+            for (sim::Bytes i = 0; i < len; ++i)
+                store(a + i, buf[i]);
+            break;
+          }
+          case 3: { // bulk read
+            sim::Bytes len = rng.uniformInt(1, 3 * kPage);
+            sim::Addr a = pick(len);
+            buf.assign(len, 0xEE);
+            mem.read(a, buf.data(), len);
+            for (sim::Bytes i = 0; i < len; ++i)
+                ASSERT_EQ(buf[i], expected(a + i)) << "byte @" << a + i;
+            break;
+          }
+          default: { // fill
+            sim::Bytes len = rng.uniformInt(1, 3 * kPage);
+            sim::Addr a = pick(len);
+            auto v = std::uint8_t(rng.next());
+            mem.fill(a, v, len);
+            for (sim::Bytes i = 0; i < len; ++i)
+                store(a + i, v);
+            break;
+          }
+        }
+        ASSERT_EQ(mem.pagesAllocated(), pages.size()) << "op " << op;
+    }
+    for (const auto &[a, v] : model)
+        ASSERT_EQ(mem.read8(a), v) << "byte @" << a;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PhysMemProperty, ::testing::Range(1, 6));
+
+// --- e1000 wire codec ---
+
+/** The per-byte header encoding the NIC, driver and ports used before
+ *  the shared codec: MACs then ether type, big-endian. */
+void
+writeHeaderPerByte(hw::PhysMem &mem, sim::Addr buf, const net::Frame &f)
+{
+    for (int i = 0; i < 6; ++i) {
+        mem.write8(buf + i, static_cast<std::uint8_t>(f.dst >> (8 * (5 - i))));
+        mem.write8(buf + 6 + i,
+                   static_cast<std::uint8_t>(f.src >> (8 * (5 - i))));
+    }
+    mem.write8(buf + 12, static_cast<std::uint8_t>(f.etherType >> 8));
+    mem.write8(buf + 13, static_cast<std::uint8_t>(f.etherType));
+}
+
+TEST(E1000Wire, RoundTripKeepsTheHeaderLayout)
+{
+    using hw::e1000::kWireHeader;
+    struct Case
+    {
+        net::MacAddr dst;
+        sim::Bytes payload;
+        sim::Bytes padding;
+        sim::Addr buf;
+    };
+    const Case cases[] = {
+        {0x0A0B0C0D0E0FULL, 0, 0, 0x1000},
+        // Broadcast, with the header straddling a page edge.
+        {net::kBroadcastMac, 1, 504, 0x3000 - 5},
+        // A full page of header + payload, maximal padding.
+        {0x020000000007ULL, 4082, sim::Bytes(0xFFFF) << 3, 0x10000},
+    };
+    hw::PhysMem mem(1 * sim::kMiB);
+    hw::PhysMem perByte(1 * sim::kMiB);
+    for (const Case &c : cases) {
+        net::Frame f;
+        f.dst = c.dst;
+        f.src = 0x112233445566ULL;
+        f.etherType = 0x88B5;
+        for (sim::Bytes i = 0; i < c.payload; ++i)
+            f.payload.push_back(std::uint8_t(i * 7 + 1));
+        f.padding = c.padding;
+
+        hw::e1000::writeWireFrame(mem, c.buf, f);
+        writeHeaderPerByte(perByte, c.buf, f);
+        std::array<std::uint8_t, kWireHeader> got{}, want{};
+        mem.read(c.buf, got.data(), got.size());
+        perByte.read(c.buf, want.data(), want.size());
+        EXPECT_EQ(got, want) << "dst " << std::hex << c.dst;
+
+        auto len = static_cast<std::uint16_t>(kWireHeader + c.payload);
+        auto special = static_cast<std::uint16_t>(f.padding >> 3);
+        net::Frame g = hw::e1000::readWireFrame(mem, c.buf, len, special);
+        EXPECT_EQ(g.dst, f.dst);
+        EXPECT_EQ(g.src, f.src);
+        EXPECT_EQ(g.etherType, f.etherType);
+        EXPECT_EQ(g.payload, f.payload);
+        EXPECT_EQ(g.padding, f.padding);
+    }
+
+    // The layout itself, byte by byte.
+    const std::array<std::uint8_t, kWireHeader> first = {
+        0x0A, 0x0B, 0x0C, 0x0D, 0x0E, 0x0F, 0x11,
+        0x22, 0x33, 0x44, 0x55, 0x66, 0x88, 0xB5};
+    std::array<std::uint8_t, kWireHeader> got{};
+    mem.read(0x1000, got.data(), got.size());
+    EXPECT_EQ(got, first);
+    mem.read(0x3000 - 5, got.data(), got.size());
+    for (int i = 0; i < 6; ++i)
+        EXPECT_EQ(got[i], 0xFF);
 }
 
 // --- DiskStore ---
