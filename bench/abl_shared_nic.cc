@@ -578,6 +578,7 @@ struct ModeOut
     bool weightMeasured = false;
     double weightRatioMin = 0.0, weightRatioMax = 0.0;
     double servingDelayUs = 0.0;
+    std::uint64_t vmmTxDropped = 0; //!< VMM frames lost to a full shadow ring
 };
 
 ModeOut
@@ -635,6 +636,8 @@ runMode(const RunParams &rp)
             rtt.add(s);
         rpcs += c->rttUs.size();
         o.exits += c->exitsEnd - c->exitsStart;
+        if (c->core)
+            o.vmmTxDropped += c->core->stats().vmmTxDropped;
         if (c->doneAt > 0)
             deploySum += sim::toMBps(c->deployAtDone, c->doneAt);
         servingDelay += sim::toMicros(
@@ -692,7 +695,8 @@ modeJson(const ModeOut &o)
            << sim::Table::num(o.weightRatioMin, 3) << ",\n"
            << "      \"weight_ratio_max\": "
            << sim::Table::num(o.weightRatioMax, 3) << ",\n";
-    js << "      \"bucket_wire_bytes\": "
+    js << "      \"vmm_tx_dropped\": " << o.vmmTxDropped << ",\n"
+       << "      \"bucket_wire_bytes\": "
        << sim::Table::num(o.bucketBytes, 0) << ",\n"
        << "      \"record\": " << scaleRecordJson(o.rec) << "\n"
        << "    }";
@@ -842,7 +846,10 @@ main(int argc, char **argv)
               << "passthrough " << sim::Table::num(pass.p99Us, 1)
               << " us\n"
               << "deploy goodput ratio (exitless/dedicated): "
-              << sim::Table::num(goodput, 3) << " (gate >= 0.9)\n";
+              << sim::Table::num(goodput, 3) << " (gate >= 0.9)\n"
+              << "VMM frames dropped at a full shadow TX ring: trap "
+              << trap.vmmTxDropped << ", exitless "
+              << exitless.vmmTxDropped << "\n";
     if (base.tenants >= 4)
         std::cout << "DRR weight-2/weight-1 share ratio: ["
                   << sim::Table::num(exitless.weightRatioMin, 2)

@@ -26,13 +26,10 @@ E1000Driver::E1000Driver(sim::EventQueue &eq, std::string name,
                          unsigned irq_vector)
     : sim::SimObject(eq, std::move(name)),
       view(view_), mem(mem_), mode(mode_), base(mmio_base),
-      mac_(mac), mtu_(mtu)
+      mac_(mac), mtu_(mtu), ring(mem_, arena, kRingSize)
 {
-    txRing = arena.alloc(kRingSize * kDescSize, 128);
-    rxRing = arena.alloc(kRingSize * kDescSize, 128);
-    txBufs = arena.alloc(kRingSize * kBufSize, 4096);
-    rxBufs = arena.alloc(kRingSize * kBufSize, 4096);
-    initRings();
+    // Polling mode masks every cause (paper §4.3).
+    ring.program(view, base, mode == Mode::Interrupt);
 
     if (mode == Mode::Interrupt) {
         sim::fatalIf(intc_p == nullptr,
@@ -56,39 +53,7 @@ E1000Driver::attachDoorbell(sim::Addr page)
     dbPage = page;
     // Publish the current tails so the poller's mirrors line up with
     // the trapped setup writes that already happened.
-    nicdb::init(mem, page, txTail, kRingSize - 1);
-}
-
-void
-E1000Driver::initRings()
-{
-    // Receive ring: hand all but one descriptor to hardware.
-    for (unsigned i = 0; i < kRingSize; ++i) {
-        sim::Addr desc = rxRing + i * kDescSize;
-        mem.write64(desc, rxBufs + i * kBufSize);
-        mem.write32(desc + 8, 0);
-        mem.write32(desc + 12, 0);
-    }
-    view.write(IoSpace::Mmio, base + kRdbal,
-               static_cast<std::uint32_t>(rxRing), 4);
-    view.write(IoSpace::Mmio, base + kRdlen, kRingSize * kDescSize, 4);
-    view.write(IoSpace::Mmio, base + kRdh, 0, 4);
-    view.write(IoSpace::Mmio, base + kRdt, kRingSize - 1, 4);
-    view.write(IoSpace::Mmio, base + kRctl, kRctlEn, 4);
-
-    view.write(IoSpace::Mmio, base + kTdbal,
-               static_cast<std::uint32_t>(txRing), 4);
-    view.write(IoSpace::Mmio, base + kTdlen, kRingSize * kDescSize, 4);
-    view.write(IoSpace::Mmio, base + kTdh, 0, 4);
-    view.write(IoSpace::Mmio, base + kTdt, 0, 4);
-    view.write(IoSpace::Mmio, base + kTctl, kTctlEn, 4);
-
-    if (mode == Mode::Interrupt) {
-        view.write(IoSpace::Mmio, base + kIms, kIcrTxdw | kIcrRxt0, 4);
-    } else {
-        // Polling mode: mask everything (paper §4.3).
-        view.write(IoSpace::Mmio, base + kImc, ~0u, 4);
-    }
+    nicdb::init(mem, page, ring.txTail(), ring.rxTail());
 }
 
 net::MacAddr
@@ -115,72 +80,33 @@ void
 E1000Driver::pumpTx()
 {
     bool queued = false;
-    while (!txBacklog.empty() && txFree > 1) {
-        net::Frame f = std::move(txBacklog.front());
+    while (!txBacklog.empty() && ring.push(txBacklog.front())) {
         txBacklog.pop_front();
-
-        sim::Addr buf = txBufs + txTail * kBufSize;
-        sim::Bytes len = kWireHeader + f.payload.size();
-        sim::panicIfNot(len <= kBufSize,
-                        "frame exceeds driver buffer: ", len);
-        writeWireFrame(mem, buf, f);
-
-        sim::Addr desc = txRing + txTail * kDescSize;
-        mem.write64(desc, buf);
-        mem.write16(desc + 8, static_cast<std::uint16_t>(len));
-        mem.write8(desc + 11, kTxCmdEop | kTxCmdRs);
-        mem.write8(desc + 12, 0); // clear DD
-        mem.write16(desc + 14,
-                    static_cast<std::uint16_t>(f.padding >> 3));
-
-        txTail = (txTail + 1) % kRingSize;
-        --txFree;
         ++numTx;
         queued = true;
     }
     if (queued) {
         if (dbPage)
-            nicdb::ringTx(mem, dbPage, txTail);
+            nicdb::ringTx(mem, dbPage, ring.txTail());
         else
-            view.write(IoSpace::Mmio, base + kTdt, txTail, 4);
+            view.write(IoSpace::Mmio, base + kTdt, ring.txTail(), 4);
     }
 }
 
 unsigned
 E1000Driver::poll()
 {
-    // Reclaim transmitted descriptors.
-    while (txFree < kRingSize) {
-        sim::Addr desc = txRing + txClean * kDescSize;
-        if (!(mem.read8(desc + 12) & kDescDd))
-            break;
-        txClean = (txClean + 1) % kRingSize;
-        ++txFree;
-    }
+    ring.reap();
     pumpTx();
 
-    // Deliver received frames.
+    // Deliver received frames, handing each descriptor back first.
     unsigned delivered = 0;
-    while (true) {
-        sim::Addr desc = rxRing + rxHead * kDescSize;
-        std::uint8_t st = mem.read8(desc + 12);
-        if (!(st & kDescDd))
-            break;
-
-        sim::Addr buf = mem.read64(desc);
-        std::uint16_t len = mem.read16(desc + 8);
-        std::uint16_t special = mem.read16(desc + 14);
-
-        net::Frame f = readWireFrame(mem, buf, len, special);
-
-        // Return the descriptor to hardware.
-        mem.write8(desc + 12, 0);
+    net::Frame f;
+    while (ring.pop(f)) {
         if (dbPage)
-            nicdb::ringRx(mem, dbPage, rxHead);
+            nicdb::ringRx(mem, dbPage, ring.rxTail());
         else
-            view.write(IoSpace::Mmio, base + kRdt, rxHead, 4);
-        rxHead = (rxHead + 1) % kRingSize;
-
+            view.write(IoSpace::Mmio, base + kRdt, ring.rxTail(), 4);
         ++numRx;
         ++delivered;
         if (rx)

@@ -7,9 +7,10 @@
  *    §4.3: "minimal functions to send and receive packets with
  *    polling", 600-760 LOC per adapter family).
  *
- * The driver programs real descriptor rings in simulated physical
- * memory through a BusView, so the identical code runs in guest
- * context (interceptable) and VMM context (direct).
+ * The driver programs real descriptor rings (an e1000::DriverRing)
+ * in simulated physical memory through a BusView, so the identical
+ * code runs in guest context (interceptable) and VMM context
+ * (direct).
  */
 
 #ifndef HW_E1000_DRIVER_HH
@@ -18,6 +19,7 @@
 #include <deque>
 
 #include "net/l2.hh"
+#include "hw/e1000_ring.hh"
 #include "hw/interrupts.hh"
 #include "hw/io_bus.hh"
 #include "hw/mem_arena.hh"
@@ -88,9 +90,7 @@ class E1000Driver : public sim::SimObject, public net::L2Endpoint
 
   private:
     static constexpr unsigned kRingSize = 64;
-    static constexpr sim::Bytes kBufSize = 2048;
 
-    void initRings();
     void pumpTx();
     void serviceIrq();
 
@@ -106,15 +106,7 @@ class E1000Driver : public sim::SimObject, public net::L2Endpoint
     InterruptController::HandlerId irqHandler = 0;
     RxHandler rx;
 
-    sim::Addr txRing = 0;
-    sim::Addr rxRing = 0;
-    sim::Addr txBufs = 0;
-    sim::Addr rxBufs = 0;
-    unsigned txTail = 0;  //!< next descriptor to fill
-    unsigned txClean = 0; //!< next descriptor to reclaim
-    unsigned txFree = kRingSize;
-    unsigned rxHead = 0; //!< next descriptor to examine
-
+    e1000::DriverRing ring;
     std::deque<net::Frame> txBacklog;
 
     std::uint64_t numTx = 0;

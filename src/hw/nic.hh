@@ -10,9 +10,14 @@
  * similar across parts.
  *
  * Descriptor rings live in simulated physical memory and are walked
- * by real register-programmed head/tail indices, so both the guest
- * driver and the BMcast shared-NIC mediator (shadow rings, §6) operate
- * the architected interface.
+ * by real register-programmed head/tail indices. The register file and
+ * the device's walk over the rings are e1000::RegFile
+ * (hw/e1000_ring.hh), the one device-side ring model: this device
+ * drives it with DMA timing and TX pacing, and the shared-NIC
+ * mediator (shadow rings, §6) drives the same type over each guest's
+ * virtualized register window. The driver's side of every ring —
+ * hw::E1000Driver's and the mediator's shadow rings — is the one
+ * e1000::DriverRing.
  */
 
 #ifndef HW_NIC_HH
@@ -22,6 +27,7 @@
 #include <functional>
 #include <string>
 
+#include "hw/e1000_ring.hh"
 #include "hw/interrupts.hh"
 #include "hw/io_bus.hh"
 #include "hw/phys_mem.hh"
@@ -39,67 +45,7 @@ const char *nicModelName(NicModel model);
 /** Default link speed of a family in bits per second. */
 double nicModelSpeed(NicModel model);
 
-namespace e1000 {
-
-/** Register offsets (subset of the 8254x map). */
-constexpr sim::Addr kCtrl = 0x0000;
-constexpr sim::Addr kStatus = 0x0008;
-constexpr sim::Addr kIcr = 0x00C0; //!< read-to-clear
-constexpr sim::Addr kIms = 0x00D0;
-constexpr sim::Addr kImc = 0x00D8;
-constexpr sim::Addr kRctl = 0x0100;
-constexpr sim::Addr kTctl = 0x0400;
-constexpr sim::Addr kRdbal = 0x2800;
-constexpr sim::Addr kRdlen = 0x2808;
-constexpr sim::Addr kRdh = 0x2810;
-constexpr sim::Addr kRdt = 0x2818;
-constexpr sim::Addr kTdbal = 0x3800;
-constexpr sim::Addr kTdlen = 0x3808;
-constexpr sim::Addr kTdh = 0x3810;
-constexpr sim::Addr kTdt = 0x3818;
-
-constexpr sim::Addr kMmioSize = 0x8000;
-
-/** Interrupt cause bits. */
-constexpr std::uint32_t kIcrTxdw = 0x01;
-constexpr std::uint32_t kIcrRxt0 = 0x80;
-
-/** RCTL/TCTL enable bits. */
-constexpr std::uint32_t kRctlEn = 0x02;
-constexpr std::uint32_t kTctlEn = 0x02;
-
-/** Descriptor geometry. */
-constexpr sim::Bytes kDescSize = 16;
-
-/** TX descriptor command/status bits. */
-constexpr std::uint8_t kTxCmdEop = 0x01;
-constexpr std::uint8_t kTxCmdRs = 0x08;
-constexpr std::uint8_t kDescDd = 0x01;
-constexpr std::uint8_t kRxStEop = 0x02;
-
-/** Bytes of the Ethernet header at the start of a descriptor buffer. */
-constexpr sim::Bytes kWireHeader = 14;
-
-/**
- * Parse the frame in a descriptor buffer: the wire header at @p buf
- * (destination and source MACs, then the ether type, all big-endian),
- * followed by @p len - 14 payload bytes. The descriptor's special
- * field carries the elided bulk bytes (see net/frame.hh):
- * padding = special << 3.
- */
-net::Frame readWireFrame(const PhysMem &mem, sim::Addr buf,
-                         std::uint16_t len, std::uint16_t special);
-
-/**
- * Write @p frame's wire header and payload at @p buf, in the layout
- * readWireFrame() parses. The descriptor (length, special) is the
- * caller's.
- */
-void writeWireFrame(PhysMem &mem, sim::Addr buf, const net::Frame &frame);
-
-} // namespace e1000
-
-/** The NIC device. */
+/** The NIC device: the physical side of one e1000::RegFile. */
 class E1000Nic : public sim::SimObject
 {
   public:
@@ -153,18 +99,7 @@ class E1000Nic : public sim::SimObject
     sim::Addr base;
     IrqLine irq;
 
-    std::uint32_t icr = 0;
-    std::uint32_t ims = 0;
-    std::uint32_t rctl = 0;
-    std::uint32_t tctl = 0;
-    std::uint32_t rdbal = 0;
-    std::uint32_t rdlen = 0;
-    std::uint32_t rdh = 0;
-    std::uint32_t rdt = 0;
-    std::uint32_t tdbal = 0;
-    std::uint32_t tdlen = 0;
-    std::uint32_t tdh = 0;
-    std::uint32_t tdt = 0;
+    e1000::RegFile regs;
 
     bool txInProgress = false;
 

@@ -29,6 +29,15 @@ constexpr sim::Bytes kEthOverhead = 18;
 /** Preamble + inter-frame gap, charged on the wire. */
 constexpr sim::Bytes kEthWireExtra = 20;
 
+/** Bytes on the wire for @p wirePayload L2 payload bytes (framing,
+ *  min 64, + preamble/IFG). */
+constexpr sim::Bytes
+wireSize(sim::Bytes wirePayload)
+{
+    sim::Bytes sz = wirePayload + kEthOverhead;
+    return (sz < 64 ? 64 : sz) + kEthWireExtra;
+}
+
 /** An L2 frame. */
 struct Frame
 {
@@ -50,14 +59,7 @@ struct Frame
     sim::Bytes wirePayload() const { return payload.size() + padding; }
 
     /** Bytes on the wire (payload + framing, min 64, + preamble/IFG). */
-    sim::Bytes
-    wireSize() const
-    {
-        sim::Bytes sz = wirePayload() + kEthOverhead;
-        if (sz < 64)
-            sz = 64;
-        return sz + kEthWireExtra;
-    }
+    sim::Bytes wireSize() const { return net::wireSize(wirePayload()); }
 };
 
 } // namespace net

@@ -1,38 +1,56 @@
 /**
  * @file
- * GuestPort over the e1000 register file.
+ * One guest's attachment point to the mediation tier: the guest's
+ * virtualized e1000 register file (an hw::e1000::RegFile) and the
+ * device-side walk over the rings the guest programmed into it.
  *
  * Two window flavours:
- *  - The *real* window: the physical NIC's own MMIO range. Register
- *    accesses the port does not virtualize fall through to the
- *    device, exactly as the original single-guest mediator behaved.
+ *  - The *real* window: the physical NIC's own MMIO range. Registers
+ *    outside the file (CTRL, STATUS) fall through to the device,
+ *    exactly as the original single-guest mediator behaved.
  *  - A *virtual* window: a register range with no device behind it,
  *    used to give additional guests their own NIC. The port registers
- *    a stub device (link-up STATUS, zeroes elsewhere) and virtualizes
- *    everything.
+ *    a stub device (link-up STATUS, zeroes elsewhere) for the rest.
  *
  * Trap mode intercepts every access. Exitless mode still intercepts —
  * ring setup is a handful of boot-time exits — but the steady-state
  * doorbells (TDT/RDT/ICR) travel through a shared-memory page the
  * core folds in via syncDoorbell(); a guest driver that has attached
  * the page never exits on the data path.
+ *
+ * The port is passive: it never touches the physical NIC. The core
+ * drives it — pulling queued TX frames (peekTxWire/takeTx, so QoS can
+ * inspect a frame's wire cost before committing to it), pushing RX
+ * frames (deliverRx), and posting interrupt causes. The port calls
+ * back into the core only through the two hooks, from intercepted
+ * guest accesses.
  */
 
 #ifndef NETMED_E1000_GUEST_PORT_HH
 #define NETMED_E1000_GUEST_PORT_HH
 
+#include <functional>
 #include <string>
 
+#include "hw/e1000_ring.hh"
 #include "hw/interrupts.hh"
 #include "hw/io_bus.hh"
 #include "hw/phys_mem.hh"
-#include "netmed/guest_port.hh"
 #include "netmed/types.hh"
 
 namespace netmed {
 
+/** Core-provided callbacks, invoked from guest register accesses. */
+struct GuestPortHooks
+{
+    /** The guest rang its TX doorbell (trap mode only). */
+    std::function<void()> txKick;
+    /** The guest entered its ISR (trap-mode ICR read): sync RX now. */
+    std::function<void()> rxSync;
+};
+
 /** e1000-flavoured guest attachment. */
-class E1000GuestPort : public GuestPort, public hw::IoInterceptor
+class E1000GuestPort : public hw::IoInterceptor
 {
   public:
     /**
@@ -46,22 +64,44 @@ class E1000GuestPort : public GuestPort, public hw::IoInterceptor
      */
     E1000GuestPort(std::string name, hw::IoBus &bus, hw::PhysMem &mem,
                    sim::Addr windowBase, bool virtualWindow,
-                   MedMode mode, sim::Addr doorbell,
-                   hw::InterruptController *intc, unsigned irqVector);
+                   sim::Addr doorbell, hw::InterruptController *intc,
+                   unsigned irqVector);
 
-    /** @name GuestPort */
-    /// @{
-    void attach(GuestPortHooks hooks) override;
-    void detach() override;
-    bool syncDoorbell() override;
-    sim::Bytes peekTxWire() override;
-    bool takeTx(net::Frame &frame) override;
-    bool deliverRx(const net::Frame &frame) override;
-    void postTxCause() override;
-    void postRxCause() override;
-    GuestRingState rings() const override;
-    sim::Addr doorbellPage() const override { return dbPage; }
-    /// @}
+    /** Begin virtualizing the guest's register window. */
+    void attach(GuestPortHooks hooks);
+
+    /** Stop virtualizing (de-virtualization or teardown). */
+    void detach();
+
+    /**
+     * Exitless mode: fold the doorbell page into the virtual register
+     * state. @return true if the TX tail moved (work to pump).
+     */
+    bool syncDoorbell();
+
+    /**
+     * Wire size of the next queued TX frame, 0 when none. The frame
+     * stays queued until takeTx() — QoS admission happens in between.
+     */
+    sim::Bytes peekTxWire() const { return regs_.txHeadWire(mem); }
+
+    /** Dequeue the next TX frame and complete its guest descriptor. */
+    bool takeTx(net::Frame &frame);
+
+    /** Copy @p frame into the guest's RX ring; false = not ready. */
+    bool deliverRx(const net::Frame &frame)
+    {
+        return regs_.rxFill(mem, frame);
+    }
+
+    /** Post interrupt causes (kIcrTxdw / kIcrRxt0) toward the guest. */
+    void postCause(std::uint32_t cause);
+
+    /** The virtual register file (what uninstall hands the device). */
+    const hw::e1000::RegFile &regs() const { return regs_; }
+
+    /** Exitless doorbell page address (0 = trapped doorbells). */
+    sim::Addr doorbellPage() const { return dbPage; }
 
     /** @name hw::IoInterceptor (guest register accesses) */
     /// @{
@@ -71,17 +111,12 @@ class E1000GuestPort : public GuestPort, public hw::IoInterceptor
                         unsigned size) override;
     /// @}
 
-    sim::Addr windowBase() const { return base; }
-
   private:
-    void postCause(std::uint32_t cause);
-
     std::string name_;
     hw::IoBus &bus;
     hw::PhysMem &mem;
     sim::Addr base;
     bool virtualWindow;
-    MedMode mode;
     sim::Addr dbPage;
     hw::InterruptController *intc;
     unsigned irqVector;
@@ -90,7 +125,7 @@ class E1000GuestPort : public GuestPort, public hw::IoInterceptor
     bool attached = false;
     GuestPortHooks hooks_;
 
-    GuestRingState g;
+    hw::e1000::RegFile regs_;
 };
 
 } // namespace netmed

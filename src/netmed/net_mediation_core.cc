@@ -2,14 +2,18 @@
 
 #include <algorithm>
 
-#include "netmed/e1000_guest_port.hh"
-#include "netmed/e1000_ring_port.hh"
 #include "obs/registry.hh"
 #include "simcore/logging.hh"
 
 namespace netmed {
 
+using namespace hw::e1000;
+using hw::IoSpace;
+
 namespace {
+
+/** Shadow ring length: twice a guest driver's ring. */
+constexpr unsigned kShadowSize = 128;
 
 /** DRR quantum: one max-size standard frame per weight unit. */
 constexpr sim::Bytes kQuantum = 1522;
@@ -27,11 +31,10 @@ NetMediationCore::NetMediationCore(sim::EventQueue &eq,
                                    MedMode mode, std::uint16_t vmm_et)
     : sim::SimObject(eq, std::move(name)), bus(bus_), mem(mem_),
       nic_(nic), mode_(mode), vmmEtherType(vmm_et),
-      track_(this->name())
+      vmmView(bus_, /*guestContext=*/false), track_(this->name())
 {
     if (mode_ != MedMode::Passthrough)
-        ringPort = std::make_unique<E1000RingPort>(bus, mem, nic_,
-                                                   vmm_arena, mode_);
+        shadow.emplace(mem, vmm_arena, kShadowSize);
 }
 
 unsigned
@@ -62,8 +65,8 @@ NetMediationCore::addGuest(const GuestConfig &cfg_in)
     if (mode_ != MedMode::Passthrough) {
         s.port = std::make_unique<E1000GuestPort>(
             name() + ".guest" + std::to_string(slots_.size()), bus,
-            mem, cfg.windowBase, virtualWindow, mode_, cfg.doorbell,
-            cfg.intc, cfg.irqVector);
+            mem, cfg.windowBase, virtualWindow, cfg.doorbell, cfg.intc,
+            cfg.irqVector);
     }
     slots_.push_back(std::move(s));
     return static_cast<unsigned>(slots_.size() - 1);
@@ -140,7 +143,11 @@ NetMediationCore::install()
         installed_ = true;
         return;
     }
-    ringPort->take();
+    // Trap leaves the physical interrupt armed: the device's IRQ drives
+    // the guest's ISR, whose first (intercepted) ICR read is where the
+    // core syncs the shadow rings. Exitless masks it: the sidecore
+    // polls.
+    shadow->program(vmmView, nic_.mmioBase(), mode_ == MedMode::Trap);
     for (Slot &s : slots_) {
         s.port->attach(GuestPortHooks{
             [this]() { pumpGuests(); },
@@ -170,21 +177,32 @@ NetMediationCore::uninstall()
     stallUntil = 0;
     drainRx();
     pumpGuests();
-    stats_.txReaped += ringPort->reapTx();
+    stats_.txReaped += shadow->reap();
 
     // Hand the device to the guest on the real window (if any). Its
     // TX tail is set to its *head*: every frame it queued has already
     // been pumped through the shadow path.
-    GuestRingState gr{};
+    RegFile gr;
     for (Slot &s : slots_) {
         if (s.cfg.windowBase == nic_.mmioBase()) {
-            gr = s.port->rings();
+            gr = s.port->regs();
             gr.tdt = gr.tdh;
         }
     }
     for (Slot &s : slots_)
         s.port->detach();
-    ringPort->release(gr);
+
+    // The device transmits asynchronously; shadow descriptors queued
+    // by the drain have not hit the wire yet, and reprogramming the
+    // rings would orphan them. Hand those frames to the port directly:
+    // [device TDH, shadow tail) is exactly the un-transmitted window.
+    sim::Addr base = nic_.mmioBase();
+    auto tdh = static_cast<unsigned>(
+        vmmView.read(IoSpace::Mmio, base + kTdh, 4));
+    for (net::Frame &f : shadow->unsent(tdh))
+        nic_.port().send(std::move(f));
+    gr.programRings(vmmView, base);
+    vmmView.write(IoSpace::Mmio, base + kIms, gr.ims, 4);
     installed_ = false;
 }
 
@@ -231,12 +249,22 @@ NetMediationCore::sendFrame(net::Frame frame)
         sim::warn(name(), ": VMM frame dropped (not installed)");
         return;
     }
-    stats_.txReaped += ringPort->reapTx();
-    if (!ringPort->txPush(frame)) {
-        sim::warn(name(), ": shadow TX ring full; frame dropped");
+    stats_.txReaped += shadow->reap();
+    if (!pushShadow(frame)) {
+        ++stats_.vmmTxDropped; // shadow TX ring full
         return;
     }
     ++stats_.vmmTx;
+}
+
+bool
+NetMediationCore::pushShadow(const net::Frame &frame)
+{
+    if (!shadow->push(frame))
+        return false;
+    vmmView.write(IoSpace::Mmio, nic_.mmioBase() + kTdt, shadow->txTail(),
+                  4);
+    return true;
 }
 
 void
@@ -338,7 +366,10 @@ NetMediationCore::drainRx()
 {
     std::uint64_t drained = 0;
     net::Frame f;
-    while (ringPort->rxPop(f)) {
+    while (shadow->pop(f)) {
+        // Return the shadow descriptor to the device.
+        vmmView.write(IoSpace::Mmio, nic_.mmioBase() + kRdt,
+                      shadow->rxTail(), 4);
         ++drained;
         // Demultiplex: the VMM's ether type (AoE deployment traffic)
         // peels off first; everything else belongs to some guest.
@@ -352,7 +383,7 @@ NetMediationCore::drainRx()
     }
     for (Slot &s : slots_) {
         if (s.rxPosted) {
-            s.port->postRxCause();
+            s.port->postCause(kIcrRxt0);
             s.rxPosted = false;
         }
     }
@@ -365,7 +396,7 @@ NetMediationCore::pumpGuests()
 {
     if (now() < stallUntil)
         return;
-    stats_.txReaped += ringPort->reapTx();
+    stats_.txReaped += shadow->reap();
     std::uint64_t pumped = 0;
     // Deficit round robin with a rotation cursor that persists across
     // calls. This is load-bearing: the pump runs on every doorbell and
@@ -397,9 +428,9 @@ NetMediationCore::pumpGuests()
         }
         bool pushed = false;
         while (wire != 0 && s.deficit >= double(wire)) {
-            if (ringPort->txFree() == 0) {
-                stats_.txReaped += ringPort->reapTx();
-                if (ringPort->txFree() == 0)
+            if (shadow->txFree() == 0) {
+                stats_.txReaped += shadow->reap();
+                if (shadow->txFree() == 0)
                     goto done; // backpressure: resume this visit later
             }
             if (!admitTx(s, wire))
@@ -414,7 +445,7 @@ NetMediationCore::pumpGuests()
                 faults->shouldFire(sim::FaultSite::NicFrameDrop, i)) {
                 ++stats_.injectedDrops;
             } else {
-                ringPort->txPush(f);
+                pushShadow(f);
                 ++stats_.guestTx;
                 ++stats_.copies;
             }
@@ -430,7 +461,7 @@ NetMediationCore::pumpGuests()
 done:
     for (Slot &s : slots_) {
         if (s.txPosted) {
-            s.port->postTxCause();
+            s.port->postCause(kIcrTxdw);
             s.txPosted = false;
         }
     }
@@ -469,7 +500,7 @@ NetMediationCore::poll()
         return; // the taps do the work inline
     std::uint64_t before = stats_.guestRx + stats_.vmmRx +
                            stats_.guestTx;
-    stats_.txReaped += ringPort->reapTx();
+    stats_.txReaped += shadow->reap();
     if (mode_ == MedMode::Exitless) {
         for (Slot &s : slots_)
             s.port->syncDoorbell();
@@ -497,7 +528,7 @@ NetMediationCore::guestStats(unsigned slot) const
     return slots_.at(slot).gstats;
 }
 
-GuestPort &
+E1000GuestPort &
 NetMediationCore::guestPort(unsigned slot)
 {
     sim::panicIfNot(slots_.at(slot).port != nullptr, name(),

@@ -3,8 +3,8 @@
  * NetMediationCore: the controller-agnostic heart of the shared-NIC
  * mediation tier.
  *
- * One core multiplexes one physical NIC (behind a RingPort) among the
- * VMM and N guests (each behind a GuestPort), in one of three modes:
+ * One core multiplexes one physical NIC among the VMM and N guests, in
+ * one of three modes:
  *
  *  - Trap: shadow rings, every doorbell access exits (paper §6).
  *  - Exitless: shadow rings, doorbells in shared memory, a sidecore
@@ -12,6 +12,10 @@
  *  - Passthrough: the (single) guest owns the real rings; the VMM
  *    keeps only a software tap on the device for TX pacing and RX
  *    steering, and sends its own frames around the rings.
+ *
+ * In the two shadow-ring modes the core owns the device's real rings
+ * as VMM shadow rings (an hw::e1000::DriverRing), and each guest sits
+ * behind an E1000GuestPort, its virtualized register file.
  *
  * TX scheduling across guests is deficit-round-robin weighted by
  * GuestQos::weight, with a per-guest token bucket (rateBps/burstBytes)
@@ -35,17 +39,18 @@
 #define NETMED_NET_MEDIATION_CORE_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "hw/e1000_ring.hh"
 #include "hw/interrupts.hh"
 #include "hw/io_bus.hh"
 #include "hw/mem_arena.hh"
 #include "hw/nic.hh"
 #include "hw/phys_mem.hh"
 #include "net/l2.hh"
-#include "netmed/guest_port.hh"
-#include "netmed/ring_port.hh"
+#include "netmed/e1000_guest_port.hh"
 #include "netmed/types.hh"
 #include "obs/obs.hh"
 #include "simcore/fault_injector.hh"
@@ -124,7 +129,7 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
     }
     const NetMedStats &stats() const;
     const GuestStats &guestStats(unsigned slot) const;
-    GuestPort &guestPort(unsigned slot);
+    E1000GuestPort &guestPort(unsigned slot);
 
     /** Publish counters + service histograms into @p reg. */
     void publish(obs::Registry &reg, const std::string &label) const;
@@ -133,7 +138,7 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
     struct Slot
     {
         GuestConfig cfg;
-        std::unique_ptr<GuestPort> port; //!< null in passthrough
+        std::unique_ptr<E1000GuestPort> port; //!< null in passthrough
         GuestStats gstats;
         double tokens = 0.0;     //!< token-bucket fill (bytes)
         sim::Tick lastRefill = 0;
@@ -154,6 +159,7 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
     void refill(Slot &s, sim::Tick t);
     bool admitTx(Slot &s, sim::Bytes wire);
     bool deferTx(Slot &s);
+    bool pushShadow(const net::Frame &frame);
     void installTaps();
 
     hw::IoBus &bus;
@@ -162,7 +168,10 @@ class NetMediationCore : public sim::SimObject, public net::L2Endpoint
     MedMode mode_;
     std::uint16_t vmmEtherType;
 
-    std::unique_ptr<RingPort> ringPort;
+    /** VMM-context register access: never intercepted, never exits. */
+    hw::BusView vmmView;
+    /** The device's rings while installed; unused in passthrough. */
+    std::optional<hw::e1000::DriverRing> shadow;
     std::vector<Slot> slots_;
     unsigned rrNext_ = 0; //!< persistent DRR rotation cursor
     bool installed_ = false;

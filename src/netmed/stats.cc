@@ -25,6 +25,7 @@ publishNetMedStats(obs::Registry &reg, const std::string &label,
     reg.counter("netmed.guest_tx", label).set(s.guestTx);
     reg.counter("netmed.guest_rx", label).set(s.guestRx);
     reg.counter("netmed.vmm_tx", label).set(s.vmmTx);
+    reg.counter("netmed.vmm_tx_dropped", label).set(s.vmmTxDropped);
     reg.counter("netmed.vmm_rx", label).set(s.vmmRx);
     reg.counter("netmed.copies", label).set(s.copies);
     reg.counter("netmed.polls", label).set(s.polls);

@@ -74,6 +74,7 @@ struct NetMedStats
     std::uint64_t guestTx = 0;   //!< guest frames copied to the wire
     std::uint64_t guestRx = 0;   //!< frames copied into guest rings
     std::uint64_t vmmTx = 0;     //!< VMM frames sent via the tier
+    std::uint64_t vmmTxDropped = 0; //!< VMM frames lost: shadow TX full
     std::uint64_t vmmRx = 0;     //!< frames demuxed to the VMM
     std::uint64_t copies = 0;    //!< descriptor/buffer copies
     std::uint64_t polls = 0;     //!< service-loop invocations

@@ -291,6 +291,19 @@ TEST(E1000Wire, RoundTripKeepsTheHeaderLayout)
         EXPECT_EQ(got[i], 0xFF);
 }
 
+TEST(E1000Wire, DescriptorWireSizeMatchesTheFrame)
+{
+    hw::PhysMem mem(1 * sim::kMiB);
+    for (std::uint16_t len : {0, 13, 14, 46, 60, 1514, 2048}) {
+        for (std::uint16_t special : {0, 1, 63, 0xFFFF}) {
+            EXPECT_EQ(hw::e1000::wireSize(len, special),
+                      hw::e1000::readWireFrame(mem, 0x1000, len, special)
+                          .wireSize())
+                << "len " << len << " special " << special;
+        }
+    }
+}
+
 // --- DiskStore ---
 
 TEST(DiskStore, UnwrittenReadsAsZeroToken)
@@ -770,6 +783,83 @@ TEST(Nic, PollingModeDelivery)
     EXPECT_EQ(rx, 0); // nothing until the driver polls
     drv.poll();
     EXPECT_EQ(rx, 1);
+}
+
+/**
+ * Ring conformance, driver to device and back: frames cross more than
+ * two wraps of the 64-entry rings in order and intact (padding
+ * included); the driver's TX backlog waits while its ring is full;
+ * a frame that finds no posted RX descriptor counts in rxDropped.
+ */
+TEST(Nic, RingsWrapInOrderUnderBackpressure)
+{
+    sim::EventQueue eq;
+    net::Network lan(eq, "lan");
+    hw::MachineConfig mc;
+    mc.name = "m";
+    hw::Machine m(eq, mc, lan, 1, lan, 2);
+    hw::MemArena arena(32 * sim::kMiB, 64 * sim::kMiB);
+    hw::E1000Driver drv(eq, "poll", hw::BusView(m.bus(), false),
+                        m.mgmtNic(), m.mem(), arena,
+                        hw::E1000Driver::Mode::Polling);
+    net::Port &peer = lan.attach(99);
+
+    auto frame = [](net::MacAddr dst, unsigned i) {
+        net::Frame f;
+        f.dst = dst;
+        f.etherType = 0x88B5;
+        f.payload.assign(2 + i % 61, std::uint8_t(i * 7));
+        f.payload[0] = std::uint8_t(i >> 8);
+        f.payload[1] = std::uint8_t(i);
+        f.padding = sim::Bytes(i % 64) * 8;
+        return f;
+    };
+    auto expectFrames = [&](const std::vector<net::Frame> &got,
+                            net::MacAddr dst, unsigned first) {
+        for (unsigned i = 0; i < got.size(); ++i) {
+            net::Frame want = frame(dst, first + i);
+            EXPECT_EQ(got[i].dst, want.dst) << "frame " << first + i;
+            EXPECT_EQ(got[i].etherType, want.etherType);
+            EXPECT_EQ(got[i].payload, want.payload) << "frame " << first + i;
+            EXPECT_EQ(got[i].padding, want.padding) << "frame " << first + i;
+        }
+    };
+
+    // TX: 200 frames, over three wraps. One descriptor always stays
+    // empty, so 63 fit and the rest wait in the backlog.
+    constexpr unsigned kTx = 200;
+    std::vector<net::Frame> atPeer;
+    peer.onReceive([&](const net::Frame &f) { atPeer.push_back(f); });
+    for (unsigned i = 0; i < kTx; ++i)
+        drv.sendFrame(frame(99, i));
+    EXPECT_EQ(drv.framesSent(), 63u);
+    eq.run();
+    EXPECT_EQ(atPeer.size(), 63u);
+    EXPECT_EQ(drv.framesSent(), 63u) << "backlog left before a reap";
+    for (int polls = 0; atPeer.size() < kTx && polls < 20; ++polls) {
+        drv.poll();
+        eq.run();
+    }
+    ASSERT_EQ(atPeer.size(), kTx);
+    expectFrames(atPeer, 99, 0);
+
+    // RX: rounds of 70 frames against an unpolled driver. 63 find a
+    // posted descriptor and 7 are dropped; a poll then delivers the
+    // 63 in order and hands the descriptors back.
+    std::vector<net::Frame> atDriver;
+    drv.setRxHandler(
+        [&](const net::Frame &f) { atDriver.push_back(f); });
+    for (unsigned round = 0; round < 3; ++round) {
+        for (unsigned i = 0; i < 70; ++i)
+            peer.send(frame(2, 1000 + round * 70 + i));
+        eq.run();
+        EXPECT_EQ(m.mgmtNic().framesReceived(), 63u * (round + 1));
+        EXPECT_EQ(m.mgmtNic().rxDropped(), 7u * (round + 1));
+        atDriver.clear();
+        EXPECT_EQ(drv.poll(), 63u);
+        ASSERT_EQ(atDriver.size(), 63u);
+        expectFrames(atDriver, 2, 1000 + round * 70);
+    }
 }
 
 // --- VMX engine ---

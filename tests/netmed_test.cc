@@ -406,6 +406,119 @@ TEST_P(NetmedMultiGuestTest, WeightedFairSharingUnderSaturation)
     EXPECT_LE(ratio, 5.0) << "weight-1 guest starved";
 }
 
+/**
+ * Every ring register reads back what the guest programmed: on the
+ * real window, where the device below holds the shadow rings, and on
+ * a virtual window, where no device holds anything.
+ */
+TEST_P(NetmedMultiGuestTest, GuestReadsBackItsRingRegisters)
+{
+    using namespace hw::e1000;
+    NetmedWorld w(GetParam());
+    w.addVirtualGuest(kVg1Mac, netmed::GuestQos{});
+    w.start();
+    for (sim::Addr window : {w.machine->guestNic().mmioBase(),
+                             w.virtCfgs[0].windowBase}) {
+        auto rd = [&](sim::Addr reg) {
+            return w.machine->bus().guestRead(hw::IoSpace::Mmio,
+                                              window + reg, 4);
+        };
+        SCOPED_TRACE(testing::Message() << "window 0x" << std::hex
+                                        << window);
+        EXPECT_EQ(rd(kRdlen), 64u * 16);
+        EXPECT_EQ(rd(kTdlen), 64u * 16);
+        EXPECT_EQ(rd(kRctl), kRctlEn);
+        EXPECT_EQ(rd(kTctl), kTctlEn);
+        EXPECT_EQ(rd(kIms), kIcrTxdw | kIcrRxt0);
+        EXPECT_EQ(rd(kStatus), kStatusLinkUp);
+    }
+}
+
+/**
+ * Ring conformance through the mediator: guest TX crosses the guest's
+ * 64-entry ring and the 128-entry shadow ring, VMM TX the shadow ring
+ * alone, guest RX the shadow RX ring and then the guest's; each
+ * stream runs over more than two wraps of the shadow ring and arrives
+ * in order and intact, padding included.
+ */
+TEST_P(NetmedMultiGuestTest, ShadowRingsWrapInOrder)
+{
+    NetmedWorld w(GetParam());
+    w.start();
+    net::Port &peer = w.lan.attach(kPeerMac);
+    constexpr unsigned kFrames = 300;
+    auto frame = [](net::MacAddr dst, std::uint16_t et, unsigned i) {
+        net::Frame f;
+        f.dst = dst;
+        f.etherType = et;
+        f.payload.assign(2 + i % 97, std::uint8_t(i * 5));
+        f.payload[0] = std::uint8_t(i >> 8);
+        f.payload[1] = std::uint8_t(i);
+        f.padding = sim::Bytes(i % 64) * 8;
+        return f;
+    };
+    auto expectFrames = [&](const std::vector<net::Frame> &got,
+                            net::MacAddr dst, std::uint16_t et,
+                            unsigned first) {
+        ASSERT_EQ(got.size(), kFrames);
+        for (unsigned i = 0; i < got.size(); ++i) {
+            net::Frame want = frame(dst, et, first + i);
+            EXPECT_EQ(got[i].dst, want.dst) << "frame " << first + i;
+            EXPECT_EQ(got[i].etherType, want.etherType);
+            EXPECT_EQ(got[i].payload, want.payload) << "frame " << first + i;
+            EXPECT_EQ(got[i].padding, want.padding) << "frame " << first + i;
+        }
+    };
+    std::vector<net::Frame> atPeer;
+    peer.onReceive([&](const net::Frame &f) { atPeer.push_back(f); });
+
+    for (unsigned i = 0; i < kFrames; ++i)
+        w.guestDrv->sendFrame(frame(kPeerMac, 0x88B5, i));
+    runUntil(w.eq, w.eq.now() + 2 * sim::kSec,
+             [&]() { return atPeer.size() >= kFrames; });
+    expectFrames(atPeer, kPeerMac, 0x88B5, 0);
+
+    // VMM frames, in batches the shadow ring can hold.
+    atPeer.clear();
+    for (unsigned b = 0; b < 3; ++b) {
+        for (unsigned i = 0; i < kFrames / 3; ++i)
+            w.core->sendFrame(frame(kPeerMac, aoe::kEtherType,
+                                    1000 + b * (kFrames / 3) + i));
+        runUntil(w.eq, w.eq.now() + 1 * sim::kSec, [&]() {
+            return atPeer.size() >= (b + 1) * (kFrames / 3);
+        });
+    }
+    expectFrames(atPeer, kPeerMac, aoe::kEtherType, 1000);
+    EXPECT_EQ(w.core->stats().vmmTxDropped, 0u);
+
+    std::vector<net::Frame> atGuest;
+    w.guestDrv->setRxHandler(
+        [&](const net::Frame &f) { atGuest.push_back(f); });
+    for (unsigned i = 0; i < kFrames; ++i) {
+        w.eq.schedule(i * 20 * sim::kUs, [&, i]() {
+            peer.send(frame(kGuestMac, 0x88B5, 2000 + i));
+        });
+    }
+    runUntil(w.eq, w.eq.now() + 2 * sim::kSec,
+             [&]() { return atGuest.size() >= kFrames; });
+    expectFrames(atGuest, kGuestMac, 0x88B5, 2000);
+}
+
+/** A VMM frame that finds the shadow TX ring full is dropped and
+ *  counted, not queued. */
+TEST_P(NetmedMultiGuestTest, FullShadowRingCountsDroppedVmmFrames)
+{
+    NetmedWorld w(GetParam());
+    w.start();
+    w.lan.attach(kPeerMac);
+    // Nothing completes between these sends: 127 frames fill the
+    // 128-entry shadow ring (one descriptor stays empty).
+    for (int i = 0; i < 200; ++i)
+        w.core->sendFrame(testFrame(kPeerMac, {1}));
+    EXPECT_EQ(w.core->stats().vmmTx, 127u);
+    EXPECT_EQ(w.core->stats().vmmTxDropped, 73u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ShadowModes, NetmedMultiGuestTest,
     ::testing::Values(netmed::MedMode::Trap,
